@@ -1,10 +1,6 @@
 package gator
 
-import (
-	"fmt"
-
-	"gator/internal/cache"
-)
+import "gator/internal/cache"
 
 // Cache is shared analysis state that survives across loads and apps: a
 // content-addressed parse cache (identical source files parse once, even
@@ -26,15 +22,4 @@ func (c *Cache) ParseStats() (hits, misses int64) {
 		return 0, 0
 	}
 	return c.parse.Stats()
-}
-
-// CacheTag renders the semantically relevant analysis options as a stable
-// string, for use as the options component of a cache.AppFingerprint: two
-// runs whose tags differ may compute different solutions and must not share
-// cached outputs. Provenance and tracing are excluded — they do not change
-// the solution.
-func (o Options) CacheTag() string {
-	return fmt.Sprintf("casts=%t shared=%t nofv3=%t declared=%t ctx1=%t ctx=%s",
-		o.FilterCasts, o.SharedInflation, o.NoFindView3Refinement,
-		o.DeclaredDispatchOnly, o.Context1, o.ContextSensitivity)
 }

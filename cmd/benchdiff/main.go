@@ -17,13 +17,10 @@
 //     overhead). The latency percentiles in the record are informational;
 //   - solver records (BENCH_6.json, gatorbench -solvejson): the optimized
 //     engine (CSR + delta worklist) must beat the reference schedule by the
-//     2x floor on the deep-fixpoint chain app, the sharded engine must never
-//     fall below the reference schedule, and the >64-unit incremental
-//     speedup carries the same 5x floor as BENCH_4. All three are
-//     same-machine ratios, so they hold on single-core runners too (the
-//     sharded engine's win there comes from the shared CSR hot path, not
-//     parallelism; the record's "cores" field says what produced it).
-//     Solver ratios are floor-gated only — each divides two independently
+//     2x floor on the deep-fixpoint chain app, and the >64-unit incremental
+//     speedup carries the same 5x floor as BENCH_4. Both are same-machine
+//     ratios, so they hold on single-core runners too (the record's "cores"
+//     field says what produced it). Solver ratios are floor-gated only — each divides two independently
 //     measured solve times, so the relative threshold would trip on runner
 //     noise alone; the baseline is printed for trend reading.
 //   - precision records (BENCH_7.json, gatorbench -precjson): per
@@ -81,10 +78,6 @@ const serveSpeedupFloor = 3.0
 // engine must beat the reference schedule by at least this much on the
 // chain-shaped deep-fixpoint app (see DESIGN.md, "Solver internals").
 const optSpeedupFloor = 2.0
-
-// shardSpeedupFloor: the sharded engine may never be slower than the
-// reference schedule, whatever the core count.
-const shardSpeedupFloor = 1.0
 
 // obsOverheadCeiling is the maximum acceptable telemetry overhead, in
 // percent, for observability records — the cost of the full request
@@ -158,7 +151,6 @@ type record struct {
 	ColdP50Ms      float64      `json:"coldP50Ms"`
 	ColdP99Ms      float64      `json:"coldP99Ms"`
 	OptSpeedup     float64      `json:"optSpeedup"`
-	ShardSpeedup   float64      `json:"shardSpeedup"`
 	IncSpeedup     float64      `json:"incSpeedup"`
 	TelemetryOffMs float64      `json:"telemetryOffMs"`
 	TelemetryOnMs  float64      `json:"telemetryOnMs"`
@@ -329,20 +321,17 @@ func main() {
 		}
 
 	case old.OptSpeedup > 0:
-		// Solver record: three same-machine ratios, each gated by its own
+		// Solver record: two same-machine ratios, each gated by its own
 		// hard floor. Unlike the single-ratio records below, no relative
 		// threshold applies: each ratio divides two separately-measured
 		// solve times, so its run-to-run noise is the *sum* of both sides'
 		// and routinely exceeds 15% on busy single-core runners without any
 		// code change. The baseline comparison is printed for trend reading.
-		fmt.Printf("%s: opt speedup %.2fx vs baseline %.2fx (floor %.1fx); shard %.2fx (floor %.1fx); incremental %.2fx (floor %.1fx)\n",
+		fmt.Printf("%s: opt speedup %.2fx vs baseline %.2fx (floor %.1fx); incremental %.2fx (floor %.1fx)\n",
 			flag.Arg(1), cur.OptSpeedup, old.OptSpeedup, optSpeedupFloor,
-			cur.ShardSpeedup, shardSpeedupFloor, cur.IncSpeedup, speedupFloor)
+			cur.IncSpeedup, speedupFloor)
 		if cur.OptSpeedup < optSpeedupFloor {
 			fail("optimized-engine speedup %.2fx below the %.1fx floor", cur.OptSpeedup, optSpeedupFloor)
-		}
-		if cur.ShardSpeedup < shardSpeedupFloor {
-			fail("sharded engine is slower than the reference schedule (%.2fx)", cur.ShardSpeedup)
 		}
 		if cur.IncSpeedup < speedupFloor {
 			fail("large-app incremental speedup %.2fx below the %.1fx floor", cur.IncSpeedup, speedupFloor)

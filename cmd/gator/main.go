@@ -388,22 +388,6 @@ func (rc remoteConfig) spec() server.ReportSpec {
 	return server.ReportSpec{Report: kind, Explain: rc.explain, Seed: rc.seed, Checks: rc.only}
 }
 
-func (rc remoteConfig) options() server.OptionsJSON {
-	ctx := ""
-	if rc.opts.ContextSensitivity != gator.CtxOff {
-		ctx = rc.opts.ContextSensitivity.String()
-	}
-	return server.OptionsJSON{
-		FilterCasts:           rc.opts.FilterCasts,
-		SharedInflation:       rc.opts.SharedInflation,
-		NoFindView3Refinement: rc.opts.NoFindView3Refinement,
-		DeclaredDispatchOnly:  rc.opts.DeclaredDispatchOnly,
-		Context1:              rc.opts.Context1,
-		ContextSensitivity:    ctx,
-		Provenance:            rc.opts.Provenance,
-	}
-}
-
 // runRemote drives a gatord daemon instead of the local pipeline and
 // returns the process exit code. Reports arrive byte-identical to local
 // rendering, so the frontend only moves bytes.
@@ -418,7 +402,7 @@ func runRemote(rc remoteConfig) int {
 		stop := make(chan struct{}) // never closed: ^C ends the process
 		err := c.WatchSession(stop, rc.dirs[0], watch.Config{}, server.AnalyzeRequest{
 			Name:       filepath.Base(rc.dirs[0]),
-			Options:    rc.options(),
+			Options:    rc.opts,
 			ReportSpec: rc.spec(),
 		}, gator.ReadAppDir, func(resp *server.AnalyzeResponse, err error) {
 			if err != nil {
@@ -477,7 +461,7 @@ func runRemote(rc remoteConfig) int {
 			Name:       in.name,
 			Sources:    in.sources,
 			Layouts:    in.layouts,
-			Options:    rc.options(),
+			Options:    rc.opts,
 			ReportSpec: rc.spec(),
 		})
 		if err != nil {
@@ -509,7 +493,7 @@ func runRemote(rc remoteConfig) int {
 				Name:       in.name,
 				Sources:    in.sources,
 				Layouts:    in.layouts,
-				Options:    rc.options(),
+				Options:    rc.opts,
 				ReportSpec: server.ReportSpec{Report: "sarif", Checks: rc.only},
 			})
 			if err == nil {

@@ -40,13 +40,12 @@ func main() {
 	sharedInfl := flag.Bool("shared-inflation", false, "ablation: shared inflation nodes per layout")
 	noFV3 := flag.Bool("no-findview3", false, "ablation: disable child-only FindView3 refinement")
 	declared := flag.Bool("declared-dispatch", false, "ablation: declared-type-only dispatch")
-	ctx1 := flag.Bool("context1", false, "refinement: bounded call-site context sensitivity")
 	ctxMode := flag.String("ctx", "off", "context sensitivity: off, 1cfa (call-site cloning), or 1obj (receiver-object cloning)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel analysis workers")
 	stats := flag.Bool("stats", false, "print per-stage batch statistics to stderr")
 	benchJSON := flag.String("benchjson", "", "write machine-readable benchmark results to `file`")
 	incJSON := flag.String("incjson", "", "write the incremental re-analysis benchmark (single-file edit, warm vs cold) to `file`")
-	solveJSON := flag.String("solvejson", "", "write the solver engine benchmark (reference vs CSR+delta vs sharded, plus >64-unit incremental) to `file`")
+	solveJSON := flag.String("solvejson", "", "write the solver engine benchmark (reference vs CSR+delta, plus >64-unit incremental) to `file`")
 	precJSON := flag.String("precjson", "", "write the precision benchmark (solution/oracle ratio per context-sensitivity mode, plus the polymorphic-helper stressor) to `file`")
 	serveJSON := flag.String("servejson", "", "write the server benchmark (request latency percentiles, warm session speedup) to `file`")
 	obsJSON := flag.String("obsjson", "", "write the telemetry overhead benchmark (request latency with the telemetry layer on vs off) to `file`")
@@ -78,7 +77,6 @@ func main() {
 		SharedInflation:       *sharedInfl,
 		NoFindView3Refinement: *noFV3,
 		DeclaredDispatchOnly:  *declared,
-		Context1:              *ctx1,
 		ContextSensitivity:    ctx,
 	}
 

@@ -80,68 +80,15 @@ const (
 func ParseCtxMode(s string) (CtxMode, bool) { return core.ParseCtxMode(s) }
 
 // Options configure analysis variants; the zero value is the configuration
-// evaluated in the paper.
-type Options struct {
-	// FilterCasts enables cast-based filtering of flowing values
-	// (a precision refinement beyond the paper).
-	FilterCasts bool
-	// SharedInflation shares inflated view nodes per layout instead of per
-	// inflation site (an ablation; the paper materializes per site).
-	SharedInflation bool
-	// NoFindView3Refinement disables the child-only refinement of
-	// operations such as getCurrentView (an ablation).
-	NoFindView3Refinement bool
-	// DeclaredDispatchOnly disables class-hierarchy call resolution
-	// (an ablation; unsound for interface-dispatched handlers).
-	DeclaredDispatchOnly bool
-	// Context1 enables bounded call-site context sensitivity for small
-	// helper methods — the refinement the paper's case study identifies
-	// for the XBMC receiver imprecision.
-	Context1 bool
-	// ContextSensitivity selects the labeled context-sensitive solving
-	// mode: CtxOff (the paper's insensitive analysis), Ctx1CFA (one
-	// context per call site), or Ctx1Obj (one context per receiver
-	// class). Contexts carry human-readable labels that Explain queries
-	// and derivation trees render; solutions are projected back to
-	// source identities, so every query keeps working. Supersedes
-	// Context1 when set.
-	ContextSensitivity CtxMode
-	// Provenance records the solver's derivation DAG, enabling the
-	// ExplainDerivation/ExplainViewID queries. Costs memory proportional to
-	// the number of derived facts; off by default.
-	Provenance bool
-	// SolverShards, when at least 2, runs flow propagation across that many
-	// parallel shards with deterministic boundary exchange. The solution is
-	// identical to the sequential solver's; runs that need the exact
-	// sequential schedule (Provenance, incremental dependency tracking)
-	// ignore the setting.
-	SolverShards int
-	// ReferenceSolver selects the original map-walking, apply-everything
-	// fixpoint schedule instead of the packed CSR engine with the delta
-	// operation worklist. It is the baseline the differential harness and
-	// the solver benchmarks compare the optimized engines against; the
-	// solution is identical either way.
-	ReferenceSolver bool
-	// Trace receives solver instrumentation events (phase boundaries,
-	// fixpoint iterations, rule firings, dataflow solves). nil disables
-	// tracing with no overhead.
-	Trace *trace.Scope
-}
-
-func (o Options) internal() core.Options {
-	return core.Options{
-		FilterCasts:           o.FilterCasts,
-		SharedInflation:       o.SharedInflation,
-		NoFindView3Refinement: o.NoFindView3Refinement,
-		DeclaredDispatchOnly:  o.DeclaredDispatchOnly,
-		Context1:              o.Context1,
-		ContextSensitivity:    o.ContextSensitivity,
-		Provenance:            o.Provenance,
-		SolverShards:          o.SolverShards,
-		ReferenceSolver:       o.ReferenceSolver,
-		Trace:                 o.Trace,
-	}
-}
+// evaluated in the paper. The fields are documented on core.Options, their
+// one declaration: FilterCasts, SharedInflation, NoFindView3Refinement and
+// DeclaredDispatchOnly are refinements and ablations, ContextSensitivity
+// selects the context-sensitive mode, Provenance enables the
+// ExplainDerivation/ExplainViewID queries, Incremental records unit
+// dependencies, ReferenceSolver selects the baseline engine, and Trace
+// receives solver instrumentation events. CacheTag renders the fields that
+// change the solution.
+type Options = core.Options
 
 // LoadDir loads an application from a directory containing *.alite sources
 // and *.xml layout files (optionally under a layout/ subdirectory).
@@ -286,7 +233,7 @@ func loadApp(sources map[string]string, layoutXML map[string]string, pc *cache.P
 // Analyze runs the reference analysis.
 func (a *App) Analyze(opts Options) *Result {
 	start := time.Now()
-	res := core.Analyze(a.prog, opts.internal())
+	res := core.Analyze(a.prog, opts)
 	return &Result{app: a, res: res, elapsed: time.Since(start), tr: opts.Trace}
 }
 

@@ -116,7 +116,7 @@ func AnalyzeIncremental(prev *Result, sources, layouts map[string]string, opts O
 			return analyzeFull(prev, sources, layouts, opts, c, "patch failed: "+err.Error())
 		}
 	}
-	res := core.AnalyzeIncremental(prog, opts.internal(), prev.res, dirty)
+	res := core.AnalyzeIncremental(prog, opts, prev.res, dirty)
 
 	newSources := make(map[string]string, len(sources))
 	for n, s := range sources {
@@ -152,10 +152,9 @@ func analyzeFull(prev *Result, sources, layouts map[string]string, opts Options,
 		app.Name = prev.app.Name
 	}
 	emitParseProbes(opts.Trace, c, h0, m0)
-	iopts := opts.internal()
-	iopts.Incremental = true
+	opts.Incremental = true
 	start := time.Now()
-	res := core.Analyze(app.prog, iopts)
+	res := core.Analyze(app.prog, opts)
 	return &Result{
 		app:     app,
 		res:     res,

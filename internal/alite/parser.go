@@ -30,24 +30,70 @@ package alite
 //	Primary    = "this" | IDENT | "(" ... ")" .
 //	Type       = "int" | IDENT .
 
-// Parser parses a token stream into a *File.
+// maxNesting bounds how deeply expressions (selector chains included),
+// blocks and if/else chains may nest. The parser recurses once per level,
+// and so do the passes that walk the tree; unbounded, a few megabytes of
+// '(' overflow the goroutine stack, a fatal runtime error that no recover
+// can catch. Every corpus app, test input, example and fuzz seed parses
+// within the bound.
+const maxNesting = 1000
+
+// Parser parses a token stream into a *File. It pulls tokens from the
+// lexer on demand and holds only the lookahead the grammar needs, so a
+// parse abandoned at the nesting bound never materializes the rest of a
+// hostile input as tokens.
 type Parser struct {
-	toks []Token
-	pos  int
-	errs ErrorList
-	file string
+	lx    *Lexer
+	look  [3]Token // look[:nlook]: the current token and buffered successors
+	nlook int
+	depth int
+	errs  ErrorList
+	file  string
 }
+
+// bailout unwinds the parser once the nesting bound is exceeded; parse
+// recovers it.
+type bailout struct{}
 
 // Parse tokenizes and parses one ALite source file.
 func Parse(file, src string) (*File, error) {
-	toks, err := Tokenize(file, src)
-	if err != nil {
+	p := &Parser{lx: NewLexer(file, src), file: file}
+	f := p.parse()
+	// Lexical errors take precedence over the parse errors they cause; an
+	// abandoned parse still scans the rest of the input for them.
+	for !p.at(EOF) {
+		p.next()
+	}
+	if err := p.lx.Errors().Err(); err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks, file: file}
-	f := p.parseFile()
 	return f, p.errs.Err()
 }
+
+// parse runs parseFile, returning nil when the nesting bound abandoned it.
+func (p *Parser) parse() (f *File) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(bailout); !ok {
+				panic(r)
+			}
+		}
+	}()
+	return p.parseFile()
+}
+
+// enter counts one more level of nesting and abandons the parse, with a
+// positioned error, when it passes maxNesting. Callers pair it with a
+// deferred leave.
+func (p *Parser) enter() {
+	p.depth++
+	if p.depth > maxNesting {
+		p.errs.Add(p.cur().Pos, "nesting exceeds %d levels", maxNesting)
+		panic(bailout{})
+	}
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 // MustParse is Parse that panics on error; for tests and embedded corpora.
 func MustParse(file, src string) *File {
@@ -58,21 +104,25 @@ func MustParse(file, src string) *File {
 	return f
 }
 
-func (p *Parser) cur() Token     { return p.toks[p.pos] }
-func (p *Parser) at(k Kind) bool { return p.cur().Kind == k }
-
-func (p *Parser) peekKind(n int) Kind {
-	i := p.pos + n
-	if i >= len(p.toks) {
-		return EOF
+// peek returns the token n places after the current one (n < len(look)).
+// The lexer keeps returning EOF once the input is exhausted.
+func (p *Parser) peek(n int) Token {
+	for p.nlook <= n {
+		p.look[p.nlook] = p.lx.Next()
+		p.nlook++
 	}
-	return p.toks[i].Kind
+	return p.look[n]
 }
+
+func (p *Parser) cur() Token          { return p.peek(0) }
+func (p *Parser) at(k Kind) bool      { return p.cur().Kind == k }
+func (p *Parser) peekKind(n int) Kind { return p.peek(n).Kind }
 
 func (p *Parser) next() Token {
 	t := p.cur()
 	if t.Kind != EOF {
-		p.pos++
+		copy(p.look[:], p.look[1:p.nlook])
+		p.nlook--
 	}
 	return t
 }
@@ -245,6 +295,8 @@ func (p *Parser) parseType(allowVoid bool) Type {
 }
 
 func (p *Parser) parseBlock() *Block {
+	p.enter()
+	defer p.leave()
 	b := &Block{Pos: p.cur().Pos}
 	p.expect(LBrace)
 	for !p.at(RBrace) && !p.at(EOF) {
@@ -299,6 +351,8 @@ func (p *Parser) parseStmt() Stmt {
 }
 
 func (p *Parser) parseIf() Stmt {
+	p.enter() // else-if chains recurse here without a block in between
+	defer p.leave()
 	pos := p.expect(KwIf).Pos
 	p.expect(LParen)
 	cond := p.parseCond()
@@ -387,6 +441,8 @@ func (p *Parser) parseArgs() []Expr {
 }
 
 func (p *Parser) parseExpr() Expr {
+	p.enter()
+	defer p.leave()
 	switch p.cur().Kind {
 	case KwNew:
 		pos := p.next().Pos
@@ -455,8 +511,12 @@ func (p *Parser) parsePostfix() Expr {
 	return p.parseSelectors(x)
 }
 
+// parseSelectors loops rather than recurses, but each selector wraps x one
+// level deeper, so it counts toward the nesting bound like a recursion.
 func (p *Parser) parseSelectors(x Expr) Expr {
+	defer func(depth int) { p.depth = depth }(p.depth)
 	for p.at(Dot) {
+		p.enter()
 		p.next()
 		// Class literal: Ident.class.
 		if p.at(KwClass) {

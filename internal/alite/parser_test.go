@@ -320,3 +320,45 @@ func TestMustParsePanics(t *testing.T) {
 	}()
 	MustParse("t", "class {")
 }
+
+// TestParseNestingBound: input nested past maxNesting, down to the
+// 2,000,000-deep parenthesized body (about 4 MB, well under gatord's
+// request limit) that used to overflow the goroutine stack, yields one
+// positioned ErrorList error instead of a crash; nesting well inside the
+// bound still parses.
+func TestParseNestingBound(t *testing.T) {
+	method := func(body string) string { return "class A {\n void m() { " + body + " }\n}" }
+	over := maxNesting + 1
+	for _, tc := range []struct {
+		name string
+		src  string
+	}{
+		{"parens-2e6", method("x = " + strings.Repeat("(", 2000000) + "y" + strings.Repeat(")", 2000000) + ";")},
+		{"casts", method("x = " + strings.Repeat("(A) ", over) + "y;")},
+		{"call-args", method("x = " + strings.Repeat("f.g(", over) + "y" + strings.Repeat(")", over) + ";")},
+		{"selectors", method("x = y" + strings.Repeat(".f", over) + ";")},
+		{"if-blocks", method(strings.Repeat("if (*) { ", over) + strings.Repeat("} ", over))},
+		{"else-if-chain", method("if (*) { }" + strings.Repeat(" else if (*) { }", over))},
+	} {
+		_, err := Parse("deep.alite", tc.src)
+		el, ok := err.(ErrorList)
+		if !ok || len(el) != 1 {
+			t.Errorf("%s: err = %v, want one ErrorList entry", tc.name, err)
+			continue
+		}
+		if e := el[0]; !strings.Contains(e.Msg, "nesting exceeds") || e.Pos.Line != 2 || e.Pos.Col == 0 {
+			t.Errorf("%s: error %q at %v, want a positioned nesting error on line 2", tc.name, e.Msg, e.Pos)
+		}
+	}
+
+	const ok = 200
+	for _, src := range []string{
+		method("x = " + strings.Repeat("(", ok) + "y" + strings.Repeat(")", ok) + ";"),
+		method(strings.Repeat("if (*) { ", ok) + strings.Repeat("} ", ok)),
+		method("x = y" + strings.Repeat(".f", ok) + ";"),
+	} {
+		if _, err := Parse("ok.alite", src); err != nil {
+			t.Errorf("nesting %d rejected: %v", ok, err)
+		}
+	}
+}

@@ -7,6 +7,8 @@
 package core
 
 import (
+	"fmt"
+
 	"gator/internal/graph"
 	"gator/internal/ir"
 	"gator/internal/platform"
@@ -57,83 +59,97 @@ func ParseCtxMode(s string) (CtxMode, bool) {
 	}
 }
 
+// MarshalText renders the mode as String does, so JSON carries "1cfa".
+func (m CtxMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText parses the spellings ParseCtxMode accepts and rejects any
+// other, so a mistyped mode fails loudly instead of solving insensitively.
+func (m *CtxMode) UnmarshalText(b []byte) error {
+	mode, ok := ParseCtxMode(string(b))
+	if !ok {
+		return fmt.Errorf("unknown contextSensitivity %q (known: off, 1cfa, 1obj)", b)
+	}
+	*m = mode
+	return nil
+}
+
 // Options configure analysis variants. The zero value is the configuration
 // evaluated in the paper; the other settings exist for the ablation
-// benchmarks called out in DESIGN.md.
+// benchmarks called out in DESIGN.md. This is the one declaration of the
+// analysis options: the public gator.Options, the server's wire options
+// (the JSON tags), CacheTag and the incremental options check all use it.
 type Options struct {
 	// FilterCasts drops values that cannot satisfy a cast's target type
 	// when they flow through a cast edge. The paper's analysis does not
 	// filter; enabling this is a precision refinement.
-	FilterCasts bool
+	FilterCasts bool `json:"filterCasts,omitempty"`
 
 	// SharedInflation shares one set of inflated view nodes per layout
 	// instead of materializing a fresh set per inflation site (the paper's
 	// choice is per-site, i.e. SharedInflation=false).
-	SharedInflation bool
+	SharedInflation bool `json:"sharedInflation,omitempty"`
 
 	// NoFindView3Refinement disables the child-only refinement of
 	// FindView3 operations such as getCurrentView, treating them as
 	// returning any descendant (the paper's implementation refines).
-	NoFindView3Refinement bool
+	NoFindView3Refinement bool `json:"noFindView3,omitempty"`
 
 	// DeclaredDispatchOnly resolves calls to the statically found target
 	// only, instead of class-hierarchy analysis over all subtypes.
-	DeclaredDispatchOnly bool
+	DeclaredDispatchOnly bool `json:"declaredDispatchOnly,omitempty"`
 
-	// Context1 enables bounded (depth-1) call-site context sensitivity:
-	// small non-recursive application methods get per-call-site clones of
-	// their variables, operations, and allocation sites. This is the
-	// refinement the paper's case study identifies as the fix for the
-	// XBMC receiver imprecision.
-	Context1 bool
-
-	// ContextSensitivity selects the labeled context-sensitive solving
-	// mode. Unlike Context1's anonymous numeric contexts, these contexts
-	// carry interned human-readable labels (call-site position for 1-CFA,
-	// receiver class for 1-object) that renderers and derivation trees
-	// show. When set to anything but CtxOff it supersedes Context1.
-	ContextSensitivity CtxMode
-
-	// Incremental records per-fact unit-dependency bitmasks (which source
-	// files and layouts each derivation touched), enabling AnalyzeIncremental
-	// to retract and re-derive only the facts an edit can affect. Masks are
-	// paged bitsets, so applications of any unit count are tracked.
-	Incremental bool
+	// ContextSensitivity selects the context-sensitive solving mode: CtxOff
+	// (the paper's insensitive analysis), Ctx1CFA (one context per call
+	// site) or Ctx1Obj (one context per receiver class). Small
+	// non-recursive application methods get per-context clones of their
+	// variables, operations, and allocation sites — the refinement the
+	// paper's case study identifies as the fix for the XBMC receiver
+	// imprecision. Contexts carry interned human-readable labels that
+	// renderers and derivation trees show; solutions are projected back to
+	// source identities, so every query keeps working.
+	ContextSensitivity CtxMode `json:"contextSensitivity,omitempty"`
 
 	// Provenance records the derivation DAG: every derived fact keeps its
 	// inference rule and premise facts, queryable through Result.Why and
 	// RenderDerivation. Off by default — recording costs memory
 	// proportional to the number of derived facts.
-	Provenance bool
+	Provenance bool `json:"provenance,omitempty"`
+
+	// Incremental records per-fact unit-dependency bitmasks (which source
+	// files and layouts each derivation touched), enabling AnalyzeIncremental
+	// to retract and re-derive only the facts an edit can affect. Masks are
+	// paged bitsets, so applications of any unit count are tracked.
+	Incremental bool `json:"-"`
 
 	// ReferenceSolver forces the original solver schedule: map-walking flow
 	// propagation and an apply-every-operation round structure. It computes
 	// exactly what the default CSR engine computes — the differential
-	// harness (differential_test.go) holds every optimized configuration
+	// harness (differential_test.go) holds the default engine
 	// byte-identical to it — and exists as that baseline, not for use.
-	ReferenceSolver bool
-
-	// NoDelta disables the delta operation worklist, re-applying every
-	// operation every round like the reference schedule, while keeping CSR
-	// propagation. An ablation knob for benchmarks and the differential
-	// harness; results are identical either way.
-	NoDelta bool
-
-	// SolverShards, when at least 2, partitions flow propagation across
-	// that many parallel shards with deterministic boundary exchange (see
-	// shard.go). Points-to and relation sets are identical to the
-	// sequential engines; only schedule-sensitive introspection (points-to
-	// insertion order, Explain chains) may observe a different — still
-	// deterministic — arrival order. Runs needing the exact sequential
-	// schedule (Provenance, Incremental dependency tracking) ignore the
-	// setting and propagate sequentially.
-	SolverShards int
+	ReferenceSolver bool `json:"-"`
 
 	// Trace receives solver events: build/solve phase boundaries,
 	// per-iteration worklist sizes, and per-rule firing counts. A nil
 	// scope disables tracing with no overhead (see internal/trace).
-	Trace *trace.Scope
+	Trace *trace.Scope `json:"-"`
 }
+
+// solution returns o with the fields that cannot change the computed
+// solution zeroed: Provenance and Incremental only record how facts were
+// derived, ReferenceSolver selects an engine with identical results, and
+// Trace only observes. Every other field, including any added later, stays
+// in the key, so a new knob fails safe into a cache miss or a scratch
+// re-solve rather than a stale result.
+func (o Options) solution() Options {
+	o.Provenance, o.Incremental, o.ReferenceSolver, o.Trace = false, false, false, nil
+	return o
+}
+
+// CacheTag renders the solution-changing analysis options as a stable
+// string, for use as the options component of a cache.AppFingerprint: two
+// runs whose tags differ may compute different solutions and must not share
+// cached outputs.
+func (o Options) CacheTag() string { return fmt.Sprintf("%+v", o.solution()) }
 
 // Result is the computed analysis solution.
 type Result struct {

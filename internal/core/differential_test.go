@@ -1,23 +1,18 @@
 package core
 
 // The differential solver harness: the standing invariant of the optimized
-// engines is that every configuration — CSR propagation, the delta
-// operation worklist, and the sharded parallel fixpoint — computes exactly
-// the solution of the reference schedule (Options.ReferenceSolver). This
-// file checks that invariant on every registered corpus application, the
-// paper's Figure 1 app, a multi-unit modular app (past the 64-unit bitset
-// page boundary), and a swarm of seeded-random applications.
+// engine — CSR propagation with the delta operation worklist — is that it
+// computes exactly the solution of the reference schedule
+// (Options.ReferenceSolver). This file checks that invariant on every
+// registered corpus application, the paper's Figure 1 app, a multi-unit
+// modular app (past the 64-unit bitset page boundary), and a swarm of
+// seeded-random applications.
 //
-// Identity is checked at two strengths, matching the contract in shard.go:
-//
-//   - All variants, including shards: canonical (content-sorted) solution
-//     strings are byte-identical, and Iterations match.
-//   - Sequential variants (CSR, CSR+delta): additionally, points-to
-//     insertion order matches the reference engine, and with Provenance
-//     enabled the recorded derivation DAG — the source of Result.Why
-//     trees — is deeply equal. Sharded runs with Provenance fall back to
-//     the sequential schedule (tracking disables sharding), so their Why
-//     trees are held to the same exact-equality bar.
+// Identity is checked at full strength, matching the argument in csr.go:
+// solution strings with points-to sets in insertion order are
+// byte-identical, Iterations match, and with Provenance enabled the
+// recorded derivation DAG — the source of Result.Why trees — is deeply
+// equal.
 
 import (
 	"fmt"
@@ -35,8 +30,8 @@ import (
 
 // mapBuilder adapts a (sources, layouts) string-map pair to diffApp's
 // fresh-program contract. Each variant gets its own ir.Program: analysis
-// options like Context1 extend the program in place, so sharing one across
-// runs would let variants observe each other.
+// options like ContextSensitivity extend the program in place, so sharing
+// one across runs would let variants observe each other.
 func mapBuilder(t *testing.T, sources, layouts map[string]string) func() *ir.Program {
 	return func() *ir.Program { return buildMaps(t, sources, layouts) }
 }
@@ -68,11 +63,10 @@ func buildMaps(t testing.TB, sources, layouts map[string]string) *ir.Program {
 }
 
 // solutionString renders the full solution — every non-empty points-to set
-// plus every derived relation — as one string. Relation pairs are always
-// sorted (the underlying relation maps iterate in map order); points-to
-// values keep insertion order when ordered is true, which only the
-// sequential engines promise to reproduce, and are sorted otherwise.
-func solutionString(r *Result, ordered bool) string {
+// plus every derived relation — as one string. Relation pairs are sorted
+// (the underlying relation maps iterate in map order); points-to values
+// keep insertion order, which every engine must reproduce.
+func solutionString(r *Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "iterations %d\n", r.Iterations)
 	for _, n := range r.Graph.Nodes() {
@@ -80,11 +74,7 @@ func solutionString(r *Result, ordered bool) string {
 		if len(vals) == 0 {
 			continue
 		}
-		names := valueNamesTB(vals)
-		if !ordered {
-			sort.Strings(names)
-		}
-		fmt.Fprintf(&b, "pts %s = {%s}\n", n, strings.Join(names, ", "))
+		fmt.Fprintf(&b, "pts %s = {%s}\n", n, strings.Join(valueNamesTB(vals), ", "))
 	}
 	var rel []string
 	pair := func(kind string) func(a, b graph.Value) {
@@ -127,62 +117,29 @@ func valueNamesTB(vals []graph.Value) []string {
 	return out
 }
 
-// solverVariants enumerates the engine configurations under test. ordered
-// marks configurations whose schedule must match the reference engine
-// step-for-step, not just set-for-set.
-var solverVariants = []struct {
-	name    string
-	ordered bool
-	opts    func(Options) Options
-}{
-	{"csr-nodelta", true, func(o Options) Options { o.NoDelta = true; return o }},
-	{"csr-delta", true, func(o Options) Options { return o }},
-	{"shards1", true, func(o Options) Options { o.SolverShards = 1; return o }},
-	{"shards2", false, func(o Options) Options { o.SolverShards = 2; return o }},
-	{"shards8", false, func(o Options) Options { o.SolverShards = 8; return o }},
-}
-
-// diffApp runs every solver variant against the reference engine on one
+// diffApp runs the default engine against the reference engine on one
 // application and fails on any divergence. build must return a fresh
 // program on every call.
 func diffApp(t *testing.T, label string, build func() *ir.Program, base Options) {
 	t.Helper()
 	refOpts := base
 	refOpts.ReferenceSolver = true
-	ref := Analyze(build(), refOpts)
-	refSorted := solutionString(ref, false)
-	refOrdered := solutionString(ref, true)
-
-	for _, v := range solverVariants {
-		r := Analyze(build(), v.opts(base))
-		if got := solutionString(r, false); got != refSorted {
-			t.Errorf("%s: %s solution diverges from reference:\n%s",
-				label, v.name, firstDiff(refSorted, got))
-			continue
-		}
-		if v.ordered {
-			if got := solutionString(r, true); got != refOrdered {
-				t.Errorf("%s: %s points-to insertion order diverges from reference:\n%s",
-					label, v.name, firstDiff(refOrdered, got))
-			}
-		}
+	want := solutionString(Analyze(build(), refOpts))
+	if got := solutionString(Analyze(build(), base)); got != want {
+		t.Errorf("%s: csr-delta solution diverges from reference:\n%s",
+			label, firstDiff(want, got))
 	}
 
 	// Provenance runs record first-derivation-wins Why trees keyed by
 	// stable node ids; any schedule drift shows up as a different DAG.
-	// Sharding is suppressed under tracking, so even the shard variants
-	// must reproduce the reference derivations exactly.
 	provBase := base
 	provBase.Provenance = true
 	provRefOpts := provBase
 	provRefOpts.ReferenceSolver = true
 	provRef := Analyze(build(), provRefOpts)
-	for _, v := range solverVariants {
-		r := Analyze(build(), v.opts(provBase))
-		if !reflect.DeepEqual(r.rec.deriv, provRef.rec.deriv) {
-			t.Errorf("%s: %s derivation DAG diverges from reference (%d vs %d facts)",
-				label, v.name, len(r.rec.deriv), len(provRef.rec.deriv))
-		}
+	if r := Analyze(build(), provBase); !reflect.DeepEqual(r.rec.deriv, provRef.rec.deriv) {
+		t.Errorf("%s: csr-delta derivation DAG diverges from reference (%d vs %d facts)",
+			label, len(r.rec.deriv), len(provRef.rec.deriv))
 	}
 }
 
@@ -198,10 +155,11 @@ func firstDiff(want, got string) string {
 	return fmt.Sprintf("line counts differ: reference %d, variant %d", len(w), len(g))
 }
 
-// TestDifferentialCorpus holds every solver variant byte-identical to the
+// TestDifferentialCorpus holds the default engine byte-identical to the
 // reference engine on the registered corpus applications and Figure 1,
 // under both the default options and the cast-filtering refinement (the
-// one option that changes propagation itself).
+// one option that changes propagation itself). The context-sensitive modes
+// run through the same harness in TestCtxDifferentialVariants.
 func TestDifferentialCorpus(t *testing.T) {
 	apps := corpus.GenerateAll()
 	if testing.Short() {
@@ -225,7 +183,6 @@ func TestDifferentialCorpus(t *testing.T) {
 		}
 		diffApp(t, "figure1", build, Options{})
 		diffApp(t, "figure1-casts", build, Options{FilterCasts: true})
-		diffApp(t, "figure1-ctx1", build, Options{Context1: true})
 	})
 	t.Run("modular80", func(t *testing.T) {
 		t.Parallel()
@@ -245,8 +202,8 @@ func TestDifferentialCorpus(t *testing.T) {
 	})
 }
 
-// TestDifferentialRandom sweeps seeded-random applications through every
-// solver variant. The generator is deterministic per seed, so failures
+// TestDifferentialRandom sweeps seeded-random applications through both
+// engines. The generator is deterministic per seed, so failures
 // reproduce by seed number.
 func TestDifferentialRandom(t *testing.T) {
 	seeds := 200

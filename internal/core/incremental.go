@@ -81,13 +81,13 @@ func (a *analysis) warmState() *warmState {
 // program computes — only internal node numbering may differ, which is why
 // every query that crosses runs reports in content order.
 //
-// When reuse is not possible — no previous tracking state, provenance or
-// Context1 requested (both are schedule-sensitive), shared inflation (one
-// view tree serves many sites, defeating per-site retraction), options
-// changed, or the unit set changed — the analysis runs from scratch (with
-// tracking on, so the next edit can be incremental) and Result.Incr.Reason
-// says why. There is no limit on the number of compilation units: unit
-// masks page past 64 bits (see deps.go).
+// When reuse is not possible — no previous tracking state, provenance
+// requested (it is schedule-sensitive), context sensitivity, shared
+// inflation (one view tree serves many sites, defeating per-site
+// retraction), options changed, or the unit set changed — the analysis runs
+// from scratch (with tracking on, so the next edit can be incremental) and
+// Result.Incr.Reason says why. There is no limit on the number of
+// compilation units: unit masks page past 64 bits (see deps.go).
 func AnalyzeIncremental(prog *ir.Program, opts Options, prev *Result, dirty []string) *Result {
 	opts.Incremental = true
 	if reason := warmBlocker(opts, prev); reason != "" {
@@ -159,14 +159,9 @@ func warmBlocker(opts Options, prev *Result) string {
 		return "previous result lacks reusable solver state"
 	case opts.Provenance:
 		return "provenance recording requires the full derivation schedule"
-	case opts.Context1 || prev.Opts.Context1:
-		return "context-sensitive cloning is not incrementalized"
 	case opts.SharedInflation:
 		return "shared inflation ties one view tree to many sites"
-	case opts.FilterCasts != prev.Opts.FilterCasts,
-		opts.SharedInflation != prev.Opts.SharedInflation,
-		opts.NoFindView3Refinement != prev.Opts.NoFindView3Refinement,
-		opts.DeclaredDispatchOnly != prev.Opts.DeclaredDispatchOnly:
+	case opts.solution() != prev.Opts.solution():
 		return "analysis options changed"
 	}
 	return ""

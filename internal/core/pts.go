@@ -25,11 +25,18 @@ func (t *ptsTable) of(n graph.Node) *ValueSet {
 	return t.sets[id]
 }
 
-// ensure returns n's set, creating it when absent.
+// ensure returns n's set, creating it when absent. The table grows by
+// doubling, so a run of new node ids reallocates it logarithmically often.
 func (t *ptsTable) ensure(n graph.Node) *ValueSet {
 	id := n.ID()
 	if id >= len(t.sets) {
-		t.grow(id + 1)
+		size := 2 * len(t.sets)
+		if size <= id {
+			size = id + 1
+		}
+		grown := make([]*ValueSet, size)
+		copy(grown, t.sets)
+		t.sets = grown
 	}
 	s := t.sets[id]
 	if s == nil {
@@ -37,21 +44,6 @@ func (t *ptsTable) ensure(n graph.Node) *ValueSet {
 		t.sets[id] = s
 	}
 	return s
-}
-
-// grow pre-sizes the table for at least n node ids. The sharded solver
-// calls this before its parallel phase so concurrent shards never trigger
-// a reallocation of the shared backing array.
-func (t *ptsTable) grow(n int) {
-	if n <= len(t.sets) {
-		return
-	}
-	if c := 2 * len(t.sets); n < c {
-		n = c
-	}
-	grown := make([]*ValueSet, n)
-	copy(grown, t.sets)
-	t.sets = grown
 }
 
 // drop discards n's set entirely (incremental retraction of stale nodes).

@@ -313,12 +313,16 @@ func TestVarNodeContexts(t *testing.T) {
 	m := p.Class("A").Methods["onCreate()"]
 	v := m.Locals[1]
 	base := g.VarNode(v)
-	c1 := g.VarNodeCtx(v, 1)
-	c2 := g.VarNodeCtx(v, 2)
+	ctx1, ctx2 := g.InternContext("cs:a"), g.InternContext("cs:b")
+	if ctx1 == 0 || ctx1 == ctx2 || g.InternContext("cs:a") != ctx1 {
+		t.Fatalf("InternContext ids %d, %d not distinct, non-zero and stable", ctx1, ctx2)
+	}
+	c1 := g.VarNodeCtx(v, ctx1)
+	c2 := g.VarNodeCtx(v, ctx2)
 	if base == c1 || c1 == c2 {
 		t.Error("contexts not distinguished")
 	}
-	if g.VarNodeCtx(v, 1) != c1 {
+	if g.VarNodeCtx(v, ctx1) != c1 {
 		t.Error("VarNodeCtx not idempotent")
 	}
 	if base.String() == c1.String() {

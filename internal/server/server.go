@@ -237,34 +237,6 @@ func (s *Server) SweepSessions() int { return s.sessions.sweep(time.Now()) }
 
 // ---- wire types ----
 
-// OptionsJSON mirrors gator.Options for the wire (solution-changing knobs
-// only; provenance is requested implicitly by explain queries or
-// explicitly for sessions that will be asked to explain).
-type OptionsJSON struct {
-	FilterCasts           bool `json:"filterCasts,omitempty"`
-	SharedInflation       bool `json:"sharedInflation,omitempty"`
-	NoFindView3Refinement bool `json:"noFindView3,omitempty"`
-	DeclaredDispatchOnly  bool `json:"declaredDispatchOnly,omitempty"`
-	Context1              bool `json:"context1,omitempty"`
-	// ContextSensitivity selects the cloning-based context mode:
-	// "off" (or empty), "1cfa", or "1obj".
-	ContextSensitivity string `json:"contextSensitivity,omitempty"`
-	Provenance         bool   `json:"provenance,omitempty"`
-}
-
-func (o OptionsJSON) toOptions() gator.Options {
-	ctx, _ := gator.ParseCtxMode(o.ContextSensitivity)
-	return gator.Options{
-		FilterCasts:           o.FilterCasts,
-		SharedInflation:       o.SharedInflation,
-		NoFindView3Refinement: o.NoFindView3Refinement,
-		DeclaredDispatchOnly:  o.DeclaredDispatchOnly,
-		Context1:              o.Context1,
-		ContextSensitivity:    ctx,
-		Provenance:            o.Provenance,
-	}
-}
-
 // ReportSpec selects a report surface (mirrors internal/report.Request).
 type ReportSpec struct {
 	// Report is the report kind (report.Kinds); "" means "summary".
@@ -294,8 +266,10 @@ type AnalyzeRequest struct {
 	// XML (the same maps gator.Load takes).
 	Sources map[string]string `json:"sources"`
 	Layouts map[string]string `json:"layouts,omitempty"`
-	// Options are the analysis options, fixed per session.
-	Options OptionsJSON `json:"options,omitempty"`
+	// Options are the analysis options, fixed per session. Only the
+	// solution-changing fields and provenance travel on the wire (see the
+	// JSON tags on core.Options); provenance is also implied by explain.
+	Options gator.Options `json:"options,omitempty"`
 	ReportSpec
 	// NoCache skips the content-addressed result caches (for benchmarking
 	// and for callers that want a guaranteed fresh solve).
@@ -355,12 +329,12 @@ type AnalyzeResponse struct {
 
 // SessionInfo is the body of GET /v1/sessions/{id}.
 type SessionInfo struct {
-	SessionID string      `json:"sessionId"`
-	Name      string      `json:"name"`
-	Sources   []string    `json:"sources"`
-	Layouts   []string    `json:"layouts,omitempty"`
-	Patches   int         `json:"patches"`
-	Options   OptionsJSON `json:"options"`
+	SessionID string        `json:"sessionId"`
+	Name      string        `json:"name"`
+	Sources   []string      `json:"sources"`
+	Layouts   []string      `json:"layouts,omitempty"`
+	Patches   int           `json:"patches"`
+	Options   gator.Options `json:"options"`
 }
 
 // ErrorResponse is every non-2xx body.
@@ -429,17 +403,6 @@ func validateSpec(w http.ResponseWriter, spec ReportSpec) bool {
 	if spec.Explain == "" && spec.Report != "" && !report.Known(spec.Report) {
 		writeError(w, http.StatusBadRequest, "unknown report %q (known: %s)",
 			spec.Report, strings.Join(report.Kinds(), ", "))
-		return false
-	}
-	return true
-}
-
-// validateOptions rejects unknown option enum values up front — a typo'd
-// context mode must fail the request, not silently analyze insensitively.
-func validateOptions(w http.ResponseWriter, o OptionsJSON) bool {
-	if _, ok := gator.ParseCtxMode(o.ContextSensitivity); !ok {
-		writeError(w, http.StatusBadRequest, "unknown contextSensitivity %q (known: off, 1cfa, 1obj)",
-			o.ContextSensitivity)
 		return false
 	}
 	return true
@@ -526,7 +489,7 @@ func (s *Server) cacheKey(req AnalyzeRequest) string {
 		return ""
 	}
 	tag := fmt.Sprintf("%s|report=%s|seed=%d|checks=%s",
-		req.Options.toOptions().CacheTag(), spec.Kind(), spec.Seed, strings.Join(spec.Checks, ","))
+		req.Options.CacheTag(), spec.Kind(), spec.Seed, strings.Join(spec.Checks, ","))
 	return cache.AppFingerprint(tag, req.Sources, req.Layouts)
 }
 
@@ -596,9 +559,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !validateSpec(w, req.ReportSpec) {
 		return
 	}
-	if !validateOptions(w, req.Options) {
-		return
-	}
 	name := req.Name
 	if name == "" {
 		name = "app"
@@ -615,7 +575,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	opts := req.Options.toOptions()
+	opts := req.Options
 	if req.Explain != "" {
 		opts.Provenance = true
 	}
@@ -673,14 +633,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !validateSpec(w, req.ReportSpec) {
 		return
 	}
-	if !validateOptions(w, req.Options) {
-		return
-	}
 	name := req.Name
 	if name == "" {
 		name = "app"
 	}
-	opts := req.Options.toOptions()
+	opts := req.Options
 	if req.Explain != "" {
 		opts.Provenance = true
 	}
@@ -743,7 +700,7 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 		SessionID: sess.id,
 		Name:      sess.name,
 		Patches:   sess.patches,
-		Options:   optionsJSON(sess.opts),
+		Options:   sess.opts,
 	}
 	for n := range sess.sources {
 		info.Sources = append(info.Sources, n)
@@ -880,7 +837,7 @@ func patchedInputs(sess *session, req PatchRequest) (sources, layouts map[string
 // analyzed as one parallel batch, progress streamed as server-sent events.
 type BatchRequest struct {
 	Apps    []AnalyzeRequest `json:"apps"`
-	Options OptionsJSON      `json:"options,omitempty"`
+	Options gator.Options    `json:"options,omitempty"`
 	ReportSpec
 }
 
@@ -906,9 +863,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !validateSpec(w, req.ReportSpec) {
-		return
-	}
-	if !validateOptions(w, req.Options) {
 		return
 	}
 	flusher, ok := w.(http.Flusher)
@@ -939,7 +893,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		batch := gator.AnalyzeBatch(inputs, gator.BatchOptions{
 			Workers: s.cfg.Workers,
-			Options: req.Options.toOptions(),
+			Options: req.Options,
 			Cache:   s.appCache,
 			Progress: func(ev gator.ProgressEvent) {
 				p := BatchProgress{Index: ev.Index, Done: ev.Done, Total: ev.Total, Name: ev.Name, Worker: ev.Worker}
@@ -993,21 +947,5 @@ func incrInfo(st gator.IncrementalStats) *IncrementalInfo {
 		Retained:   st.Retained,
 		Retracted:  st.Retracted,
 		DirtyUnits: st.DirtyUnits,
-	}
-}
-
-func optionsJSON(o gator.Options) OptionsJSON {
-	ctx := ""
-	if o.ContextSensitivity != gator.CtxOff {
-		ctx = o.ContextSensitivity.String()
-	}
-	return OptionsJSON{
-		FilterCasts:           o.FilterCasts,
-		SharedInflation:       o.SharedInflation,
-		NoFindView3Refinement: o.NoFindView3Refinement,
-		DeclaredDispatchOnly:  o.DeclaredDispatchOnly,
-		Context1:              o.Context1,
-		ContextSensitivity:    ctx,
-		Provenance:            o.Provenance,
 	}
 }

@@ -504,13 +504,6 @@ func TestRequestLimitsAndErrors(t *testing.T) {
 		t.Fatalf("unknown report: %v, want 400", err)
 	}
 
-	// Unknown context-sensitivity mode → 400 (never silently insensitive).
-	_, err = c.Analyze(AnalyzeRequest{Sources: map[string]string{"a.alite": ""},
-		Options: OptionsJSON{ContextSensitivity: "2cfa"}})
-	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
-		t.Fatalf("unknown context mode: %v, want 400", err)
-	}
-
 	// Empty request → 400.
 	_, err = c.Analyze(AnalyzeRequest{})
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
@@ -540,6 +533,114 @@ func TestRequestLimitsAndErrors(t *testing.T) {
 	_ = layouts
 	if err := c.Healthz(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// postRaw sends a literal JSON body, for wire shapes the typed client
+// cannot produce, and returns the status and response body.
+func postRaw(t *testing.T, c *Client, path, body string) (int, string) {
+	t.Helper()
+	resp, err := c.http.Post(c.base+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out bytes.Buffer
+	if _, err := out.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out.String()
+}
+
+// TestWireOptions pins the wire form of the analysis options: unknown
+// option names and context modes are rejected (never silently solved
+// insensitively), and a session reports its options byte for byte in the
+// wire spelling: zero fields omitted, the context mode as text, provenance
+// included when an explain query implied it.
+func TestWireOptions(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	const app = `"sources":{"a.alite":"class A extends Activity { void onCreate() { } }"}`
+
+	for _, tc := range []struct{ options, want string }{
+		{`{"context1":true}`, `unknown field "context1"`},
+		{`{"contextSensitivity":"bogus"}`, `unknown contextSensitivity "bogus"`},
+		{`{"contextSensitivity":"2cfa"}`, `unknown contextSensitivity "2cfa"`},
+		{`{"contextSensitivity":1}`, `contextSensitivity`},
+	} {
+		for path, body := range map[string]string{
+			"/v1/analyze":  `{` + app + `,"options":` + tc.options + `}`,
+			"/v1/sessions": `{` + app + `,"options":` + tc.options + `}`,
+			"/v1/batch":    `{"apps":[{` + app + `}],"options":` + tc.options + `}`,
+		} {
+			code, resp := postRaw(t, c, path, body)
+			var e ErrorResponse
+			if err := json.Unmarshal([]byte(resp), &e); code != http.StatusBadRequest || err != nil ||
+				!strings.Contains(e.Error, tc.want) {
+				t.Errorf("%s options %s: %d %s, want 400 mentioning %s", path, tc.options, code, resp, tc.want)
+			}
+		}
+	}
+
+	for _, tc := range []struct{ request, want string }{
+		{`"options":{}`, `{}`},
+		{`"options":{"contextSensitivity":"off"}`, `{}`},
+		{`"options":{"contextSensitivity":""}`, `{}`},
+		{`"explain":"id:none"`, `{"provenance":true}`},
+		{`"options":{"filterCasts":true,"contextSensitivity":"1cfa"}`, `{"filterCasts":true,"contextSensitivity":"1cfa"}`},
+		{`"options":{"provenance":true,"contextSensitivity":"1obj","declaredDispatchOnly":true,"noFindView3":true,"sharedInflation":true,"filterCasts":true}`,
+			`{"filterCasts":true,"sharedInflation":true,"noFindView3":true,"declaredDispatchOnly":true,"contextSensitivity":"1obj","provenance":true}`},
+	} {
+		code, body := postRaw(t, c, "/v1/sessions", `{`+app+`,`+tc.request+`}`)
+		var open struct {
+			SessionID string `json:"sessionId"`
+		}
+		if err := json.Unmarshal([]byte(body), &open); code != http.StatusCreated || err != nil {
+			t.Fatalf("open session with %s: %d %s", tc.request, code, body)
+		}
+		info, err := c.getRaw("/v1/sessions/"+open.SessionID, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Options json.RawMessage `json:"options"`
+		}
+		if err := json.Unmarshal(info, &got); err != nil {
+			t.Fatal(err)
+		}
+		if string(got.Options) != tc.want {
+			t.Errorf("session opened with %s reports options %s, want %s", tc.request, got.Options, tc.want)
+		}
+	}
+}
+
+// TestDeepNestingRejected: a method body nested 2,000,000 parentheses deep
+// (about 4 MB, under the request limit) used to overflow the parser's stack
+// and kill the daemon. It must get a 422 with a positioned parse error, and
+// the daemon must go on serving.
+func TestDeepNestingRejected(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	const depth = 2000000
+	deep := "class A extends Activity {\n void onCreate() { Object x = " +
+		strings.Repeat("(", depth) + "null" + strings.Repeat(")", depth) + "; }\n}"
+	_, err := c.Analyze(AnalyzeRequest{Sources: map[string]string{"deep.alite": deep}})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("deep nesting: %v, want 422", err)
+	}
+	if !strings.Contains(se.Error(), "deep.alite:2:") || !strings.Contains(se.Error(), "nesting exceeds") {
+		t.Errorf("deep nesting error %q lacks a positioned nesting message", se.Error())
+	}
+
+	sources, layouts := figure1Maps()
+	resp, err := c.Analyze(AnalyzeRequest{Name: "figure1", Sources: sources, Layouts: layouts,
+		ReportSpec: ReportSpec{Report: "views"}})
+	if err != nil {
+		t.Fatalf("request after the deep one: %v", err)
+	}
+	_, want, _ := localRender(t, "figure1", sources, layouts, gator.Options{},
+		report.Request{Report: "views", Seed: 1})
+	if resp.Output != want {
+		t.Errorf("request after the deep one: output differs from local:\n%s", resp.Output)
 	}
 }
 

@@ -5,9 +5,9 @@
 # cmd/benchdiff, failing on >15% regression — or, for the incremental
 # record, on a warm/cold speedup below 5x, for the server record, on a
 # warm-session speedup below 3x, and for the solver record, on an
-# optimized-vs-reference speedup below 2x, a sharded engine slower than the
-# reference schedule, or a >64-unit incremental speedup below 5x. The
-# precision record (BENCH_7.json, gatorbench -precjson) is gated tighter:
+# optimized-vs-reference speedup below 2x or a >64-unit incremental speedup
+# below 5x. The precision record (BENCH_7.json, gatorbench -precjson) is
+# gated tighter:
 # any soundness violation fails, a per-mode solution/oracle ratio may not
 # grow more than 5%, and the polymorphic-helper stressor must stay strictly
 # smaller under context sensitivity. The observability record (BENCH_8.json,

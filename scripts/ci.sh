@@ -5,17 +5,17 @@
 #   1. go vet        — static checks
 #   2. go build      — everything compiles
 #   3. go test       — the full suite, including the differential solver
-#                      harness (every optimized engine byte-identical to the
+#                      harness (the optimized engine byte-identical to the
 #                      reference schedule; internal/core/differential_test.go),
 #                      the differential batch-determinism tests, example smoke
 #                      tests, and checked-in fuzz regression seeds
 #   4. go test -race — the race detector, which is what makes the parallel
-#                      batch engine's and the sharded solver's "identical to
-#                      sequential" guarantees verified properties. The full
-#                      run covers every package; -short covers only the
+#                      batch engine's "identical to sequential" guarantee a
+#                      verified property. The full run covers every
+#                      package; -short covers only the
 #                      packages whose tests actually exercise concurrency
 #                      (the root package's batch engine and watch loop,
-#                      internal/core's sharded fixpoint, the
+#                      internal/core's parallel differential harness, the
 #                      content-addressed cache, the metrics/trace registries,
 #                      the debounced watcher, and the gatord serving layer) —
 #                      re-running the purely sequential packages under the
