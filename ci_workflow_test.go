@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gator/internal/benchrec"
 )
 
 // readWorkflow loads one workflow file and applies the YAML subset lint
@@ -138,10 +140,9 @@ func TestNightlyWorkflow(t *testing.T) {
 	}
 	requireAll(t, "nightly.yml", text, []string{
 		"schedule:", "cron:", "workflow_dispatch",
-		// Benchmark regression gate over the checked-in records, including
-		// the precision record added with context sensitivity and the
-		// lifecycle-recall record added with the ordering checkers.
-		"scripts/benchdiff.sh", "BENCH_7.json", "BENCH_10.json",
+		// Benchmark regression gate over every checked-in record (the
+		// record wiring is held by TestBenchRecordWiringInSync).
+		"scripts/benchdiff.sh",
 		"BenchmarkIncrementalEdit",
 		// The cluster failover smoke runs nightly with its replica logs
 		// under bench-new/, where the failure artifact picks them up.
@@ -171,29 +172,58 @@ func TestCIScriptsExist(t *testing.T) {
 	}
 }
 
-// TestCIScriptsCoverPrecision pins the precision gate into both scripts:
-// ci.sh must run the context-sensitivity smoke step and regenerate
-// BENCH_7.json, and benchdiff.sh must regenerate and diff it nightly.
-func TestCIScriptsCoverPrecision(t *testing.T) {
-	for path, markers := range map[string][]string{
-		"scripts/ci.sh":        {"-ctx 1cfa", "-table precision", "-precjson BENCH_7.json"},
-		"scripts/benchdiff.sh": {"-precjson", "BENCH_7.json"},
-	} {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Errorf("%s: %v", path, err)
-			continue
-		}
-		requireAll(t, path, string(data), markers)
+// readRecord loads one checked-in benchmark record and returns its metrics
+// by name.
+func readRecord(t *testing.T, path string) map[string]benchrec.Metric {
+	t.Helper()
+	r, err := benchrec.Read(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	byName := map[string]benchrec.Metric{}
+	for _, m := range r.Metrics {
+		byName[m.Name] = m
+	}
+	return byName
+}
+
+// requireGated asserts each named metric is in the record and carries a
+// gate benchdiff applies.
+func requireGated(t *testing.T, path string, metrics map[string]benchrec.Metric, names []string) {
+	t.Helper()
+	for _, n := range names {
+		m, ok := metrics[n]
+		if !ok {
+			t.Errorf("%s: missing metric %q", path, n)
+		} else if !m.Gated() {
+			t.Errorf("%s: metric %q carries no gate", path, n)
+		}
+	}
+}
+
+// TestCIScriptsCoverPrecision pins the precision gate: ci.sh must run the
+// context-sensitivity smoke step, and the checked-in precision record must
+// gate the ratio and soundness violations of every mode (benchdiff.sh
+// regenerates and diffs it with the other records).
+func TestCIScriptsCoverPrecision(t *testing.T) {
+	data, err := os.ReadFile("scripts/ci.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireAll(t, "scripts/ci.sh", string(data), []string{"-ctx 1cfa", "-table precision"})
+	var names []string
+	for _, mode := range []string{"off", "1cfa", "1obj"} {
+		names = append(names, mode+"/ratio", mode+"/violations")
+	}
+	requireGated(t, "BENCH_7.json", readRecord(t, "BENCH_7.json"), names)
 }
 
 // TestCIScriptsCoverCluster pins the cluster gate into the tier-1 script:
 // the server smoke must exercise replica identity, the cluster smoke must
 // run with its replica logs where ci.yml's failure artifact expects them,
-// the short race sweep must include the cluster package (the proxy's whole
-// job is concurrent routing), and the full run must regenerate the cluster
-// benchmark record.
+// and the short race sweep must include the cluster package (the proxy's
+// whole job is concurrent routing). The checked-in cluster record must gate
+// the failover experiment.
 func TestCIScriptsCoverCluster(t *testing.T) {
 	data, err := os.ReadFile("scripts/ci.sh")
 	if err != nil {
@@ -203,16 +233,19 @@ func TestCIScriptsCoverCluster(t *testing.T) {
 		"gatord -smoke -replica",
 		"gatorproxy -smoke -smoke-logs cluster-smoke-logs",
 		"./internal/cluster",
-		"-clusterjson BENCH_9.json",
 	})
+	requireGated(t, "BENCH_9.json", readRecord(t, "BENCH_9.json"),
+		[]string{"failedRequests", "recreates", "failoverP99Ms"})
 }
 
-// TestBenchRecordWiringInSync derives the authoritative benchmark-record
-// list from the checked-in BENCH_*.json files themselves and asserts every
-// consumer knows about every record: ci.sh must regenerate it, benchdiff.sh
-// must regenerate and diff it, and nightly.yml must document it. Adding a
-// BENCH_N.json without wiring it everywhere — or wiring a record that was
-// never checked in — fails here instead of silently ungated drift.
+// TestBenchRecordWiringInSync holds the benchmark-record wiring: every
+// checked-in BENCH_*.json is a valid record, scripts/benchdiff.sh
+// regenerates them all with `gatorbench -records` into a scratch directory
+// and diffs them with cmd/benchdiff, ci.sh and the nightly workflow run
+// that script, and ci.sh never writes records itself (re-baselining is the
+// explicit `gatorbench -records .`). benchdiff.sh may not name a record
+// that is not checked in. cmd/gatorbench's TestRecordListMatchesBaselines
+// holds gatorbench's record list equal to the checked-in set.
 func TestBenchRecordWiringInSync(t *testing.T) {
 	records, err := filepath.Glob("BENCH_*.json")
 	if err != nil {
@@ -221,35 +254,34 @@ func TestBenchRecordWiringInSync(t *testing.T) {
 	if len(records) == 0 {
 		t.Fatal("no checked-in BENCH_*.json records; the glob is broken")
 	}
-	for _, consumer := range []string{
-		"scripts/ci.sh",
-		"scripts/benchdiff.sh",
-		filepath.Join(".github", "workflows", "nightly.yml"),
-	} {
-		data, err := os.ReadFile(consumer)
-		if err != nil {
-			t.Errorf("%s: %v", consumer, err)
-			continue
-		}
-		requireAll(t, consumer, string(data), records)
-	}
-	// The reverse direction: benchdiff.sh must not diff a record that is
-	// not checked in (a stale line would fail every nightly run).
-	diffScript, err := os.ReadFile("scripts/benchdiff.sh")
-	if err != nil {
-		t.Fatal(err)
-	}
 	checked := map[string]bool{}
 	for _, r := range records {
+		readRecord(t, r)
 		checked[r] = true
 	}
-	for _, line := range strings.Split(string(diffScript), "\n") {
-		fields := strings.Fields(line)
-		for _, f := range fields {
-			if strings.HasPrefix(f, "BENCH_") && strings.HasSuffix(f, ".json") &&
-				!strings.Contains(f, "*") && !checked[f] {
-				t.Errorf("scripts/benchdiff.sh references %s, which is not checked in", f)
-			}
+	read := func(path string) string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	diffScript := read("scripts/benchdiff.sh")
+	requireAll(t, "scripts/benchdiff.sh", diffScript, []string{
+		`go run ./cmd/gatorbench -table 2 -records "$OUT"`,
+		`go run ./cmd/benchdiff . "$OUT"`,
+	})
+	ci := read("scripts/ci.sh")
+	requireAll(t, "scripts/ci.sh", ci, []string{"scripts/benchdiff.sh"})
+	if strings.Contains(ci, "-records") {
+		t.Error("scripts/ci.sh passes -records itself; it must regenerate only through scripts/benchdiff.sh")
+	}
+	nightly := filepath.Join(".github", "workflows", "nightly.yml")
+	requireAll(t, nightly, read(nightly), []string{"scripts/benchdiff.sh bench-new"})
+	for _, f := range strings.Fields(diffScript) {
+		if strings.HasPrefix(f, "BENCH_") && strings.HasSuffix(f, ".json") &&
+			!strings.Contains(f, "*") && !checked[f] {
+			t.Errorf("scripts/benchdiff.sh references %s, which is not checked in", f)
 		}
 	}
 }

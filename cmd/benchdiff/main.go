@@ -1,393 +1,48 @@
-// Command benchdiff compares a freshly regenerated benchmark record against
-// the checked-in baseline and exits non-zero on regression. It understands
-// both record shapes the repo tracks:
+// Command benchdiff compares freshly regenerated benchmark records against
+// the checked-in baselines and exits non-zero on regression. Records are
+// the BENCH_*.json files of internal/benchrec, paired by file name; their
+// metrics are paired by name, and each metric's gate — declared by
+// gatorbench where it measures the metric — is applied to the regenerated
+// value. The gate comes from the baseline; a regenerated record that
+// declares it differently must be re-baselined (gatorbench -records .).
 //
-//   - corpus records (BENCH_2.json, gatorbench -benchjson): per-app findings
-//     and warnings must match the baseline exactly (a drift there is a
-//     behavior change, not noise), and total analysis work may not grow by
-//     more than the threshold;
-//   - incremental records (BENCH_4.json, gatorbench -incjson): the warm/cold
-//     speedup may not drop by more than the threshold, and never below the
-//     5x floor the incremental re-solver is built to clear. The speedup is a
-//     same-machine ratio, so it is stable across runner hardware in a way
-//     absolute milliseconds are not;
-//   - server records (BENCH_5.json, gatorbench -servejson): the warm-session
-//     vs stateless-resubmission speedup over HTTP, guarded the same way with
-//     a 3x floor (lower than the library floor: both sides carry transport
-//     overhead). The latency percentiles in the record are informational;
-//   - solver records (BENCH_6.json, gatorbench -solvejson): the optimized
-//     engine (CSR + delta worklist) must beat the reference schedule by the
-//     2x floor on the deep-fixpoint chain app, and the >64-unit incremental
-//     speedup carries the same 5x floor as BENCH_4. Both are same-machine
-//     ratios, so they hold on single-core runners too (the record's "cores"
-//     field says what produced it). Solver ratios are floor-gated only — each divides two independently
-//     measured solve times, so the relative threshold would trip on runner
-//     noise alone; the baseline is printed for trend reading.
-//   - precision records (BENCH_7.json, gatorbench -precjson): per
-//     context-sensitivity mode, the solution/oracle ratio may not grow by
-//     more than 5% over the baseline (a deterministic count-of-facts ratio,
-//     so the tight bound holds on any runner), any soundness violation is a
-//     hard failure, and the polymorphic-helper stressor must stay strict
-//     (context-sensitive solutions strictly smaller than the insensitive
-//     one);
-//   - observability records (BENCH_8.json, gatorbench -obsjson): the
-//     telemetry layer's request-latency overhead may not exceed the 5%
-//     ceiling. The overhead is a same-machine on/off ratio of min-of-N
-//     latencies, so like the solver ratios it gates on the absolute
-//     ceiling only; the baseline is printed for trend reading.
-//   - lifecycle-recall records (BENCH_10.json, gatorbench -lifejson): each
-//     ordering checker's recall over the synthesized ordering-bug scenario
-//     pack must stay at or above the 0.9 floor, and the clean twins (same
-//     helper/branch shape, legal callback placement) must produce zero
-//     findings. Both gates are deterministic counts over generated apps, so
-//     they are absolute, not baseline-relative; the baseline recall is
-//     printed for trend reading.
-//   - cluster records (BENCH_9.json, gatorbench -clusterjson): aggregate
-//     throughput at 4 replicas must beat 1 replica by the 1.5x floor
-//     (the benchmark models a fixed per-replica service time, so the
-//     ratio measures the router's spread and holds on any core count),
-//     a mid-run replica kill must end with zero unrecovered requests and
-//     at least one session re-create, and the failover-window p99 must
-//     stay under an absolute ceiling. All gates are floors/ceilings, not
-//     baseline-relative: the scaling ratio divides two independently
-//     measured walls, so a relative threshold would trip on noise.
+// The diff fails on a gated metric that regresses past its bound, and on
+// any record, or gated metric, present on one side only. Ungated metrics
+// are recorded for trend reading and never fail.
 //
 // Usage:
 //
-//	benchdiff [-threshold 0.15] BASELINE REGENERATED
+//	benchdiff BASELINE_DIR NEW_DIR
+//
+// Exit status: 0 when every gate holds, 1 on any regression, 2 on usage
+// errors and unreadable or malformed records.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+	"sort"
+
+	"gator/internal/benchrec"
 )
 
-// speedupFloor is the minimum acceptable warm/cold speedup for incremental
-// records, independent of the baseline (see DESIGN.md, "Incremental
-// solving").
-const speedupFloor = 5.0
-
-// serveSpeedupFloor is the floor for server records: a warm session must
-// beat stateless resubmission by at least this much end to end (see
-// DESIGN.md, "Serving").
-const serveSpeedupFloor = 3.0
-
-// optSpeedupFloor is the floor for solver records: the CSR + delta-worklist
-// engine must beat the reference schedule by at least this much on the
-// chain-shaped deep-fixpoint app (see DESIGN.md, "Solver internals").
-const optSpeedupFloor = 2.0
-
-// obsOverheadCeiling is the maximum acceptable telemetry overhead, in
-// percent, for observability records — the cost of the full request
-// telemetry layer (trace propagation, per-request metrics and logs,
-// head-sampled trace capture) relative to a telemetry-off daemon (see
-// DESIGN.md, "Observability").
-const obsOverheadCeiling = 5.0
-
-// clusterScalingFloor is the minimum acceptable 4-replica/1-replica
-// throughput ratio for cluster records: consistent hashing must spread
-// independent apps well enough that four service units beat one by at
-// least this much (see DESIGN.md, "Cluster").
-const clusterScalingFloor = 1.5
-
-// failoverP99CeilingMs bounds the failover-window patch p99 for cluster
-// records: a replica kill may cost the affected sessions a re-create (one
-// cold solve), never a stall. The ceiling is absolute wall-clock, sized
-// for a loopback cluster with the benchmark's fixed service delay.
-const failoverP99CeilingMs = 2000.0
-
-// ratioSlack is the maximum tolerated growth of a precision record's
-// solution/oracle ratio over the baseline. The ratio counts canonical facts,
-// not time, so it is exactly reproducible and gets a bound far tighter than
-// the timing threshold.
-const ratioSlack = 0.05
-
-// recallFloor is the minimum acceptable per-checker recall for
-// lifecycle-recall records: the ordering checkers must locate at least 90%
-// of the seeded scenario-pack bugs (see DESIGN.md, "Lifecycle & callback
-// ordering").
-const recallFloor = 0.9
-
-type appRec struct {
-	App      string `json:"app"`
-	Findings int    `json:"findings"`
-	Warnings int    `json:"warnings"`
-}
-
-type modeRec struct {
-	Mode       string  `json:"mode"`
-	Ratio      float64 `json:"ratio"`
-	Violations int     `json:"violations"`
-}
-
-type stressorRec struct {
-	App              string `json:"app"`
-	InsensitiveFacts int    `json:"insensitiveFacts"`
-	CfaFacts         int    `json:"cfaFacts"`
-	ObjFacts         int    `json:"objFacts"`
-	Strict           bool   `json:"strict"`
-}
-
-type checkerRec struct {
-	Checker       string  `json:"checker"`
-	Seeded        int     `json:"seeded"`
-	Detected      int     `json:"detected"`
-	Recall        float64 `json:"recall"`
-	CleanFindings int     `json:"cleanFindings"`
-}
-
-// record is the superset of the benchmark file shapes; shape is detected
-// by which fields are populated (precision records carry modes, corpus
-// records carry apps, incremental records carry warmMs, server records
-// carry coldP50Ms, observability records carry telemetryOnMs, and
-// lifecycle-recall records carry checkers).
-type record struct {
-	TotalWorkMs    float64      `json:"totalWorkMs"`
-	Speedup        float64      `json:"speedup"`
-	WarmMs         float64      `json:"warmMs"`
-	ColdMs         float64      `json:"coldMs"`
-	ColdP50Ms      float64      `json:"coldP50Ms"`
-	ColdP99Ms      float64      `json:"coldP99Ms"`
-	OptSpeedup     float64      `json:"optSpeedup"`
-	IncSpeedup     float64      `json:"incSpeedup"`
-	TelemetryOffMs float64      `json:"telemetryOffMs"`
-	TelemetryOnMs  float64      `json:"telemetryOnMs"`
-	OverheadPct    float64      `json:"overheadPct"`
-	Scaling2x      float64      `json:"scaling2x"`
-	Scaling4x      float64      `json:"scaling4x"`
-	SteadyP99Ms    float64      `json:"steadyP99Ms"`
-	FailoverP99Ms  float64      `json:"failoverP99Ms"`
-	Recreates      int          `json:"recreates"`
-	FailedRequests int          `json:"failedRequests"`
-	Apps           []appRec     `json:"apps"`
-	Modes          []modeRec    `json:"modes"`
-	Checkers       []checkerRec `json:"checkers"`
-	Stressor       stressorRec  `json:"stressor"`
-}
-
-func load(path string) (record, error) {
-	var r record
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("%s: %v", path, err)
-	}
-	return r, nil
-}
-
 func main() {
-	threshold := flag.Float64("threshold", 0.15, "maximum tolerated fractional regression")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff BASELINE_DIR NEW_DIR")
+	}
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold F] BASELINE REGENERATED")
+		flag.Usage()
 		os.Exit(2)
 	}
-	old, err := load(flag.Arg(0))
+	failures, err := diffDirs(flag.Arg(0), flag.Arg(1), os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	cur, err := load(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
-	}
-
-	var failures []string
-	fail := func(format string, args ...any) {
-		failures = append(failures, fmt.Sprintf(format, args...))
-	}
-
-	switch {
-	case len(old.Checkers) > 0:
-		// Lifecycle-recall record: per-checker recall floor plus the
-		// zero-findings contract on clean twins. Both are deterministic
-		// counts over generated scenarios — absolute gates, no threshold.
-		byChecker := map[string]checkerRec{}
-		for _, c := range cur.Checkers {
-			byChecker[c.Checker] = c
-		}
-		for _, want := range old.Checkers {
-			got, ok := byChecker[want.Checker]
-			if !ok {
-				fail("checker %s: missing from regenerated record", want.Checker)
-				continue
-			}
-			fmt.Printf("%s: checker %s recall %.2f (%d/%d) vs baseline %.2f (floor %.1f); clean-twin findings %d\n",
-				flag.Arg(1), want.Checker, got.Recall, got.Detected, got.Seeded,
-				want.Recall, recallFloor, got.CleanFindings)
-			if got.Seeded == 0 {
-				fail("checker %s: no scenarios seeded", want.Checker)
-				continue
-			}
-			if got.Recall < recallFloor {
-				fail("checker %s: recall %.2f (%d/%d) below the %.1f floor",
-					want.Checker, got.Recall, got.Detected, got.Seeded, recallFloor)
-			}
-			if got.CleanFindings != 0 {
-				fail("checker %s: %d finding(s) on clean twins (want 0)",
-					want.Checker, got.CleanFindings)
-			}
-		}
-		if len(cur.Checkers) < len(old.Checkers) {
-			fail("checker count %d, baseline %d", len(cur.Checkers), len(old.Checkers))
-		}
-
-	case old.Scaling4x > 0:
-		// Cluster record: floor-gated scaling plus the failover contract.
-		// Zero unrecovered requests is absolute; at least one re-create
-		// proves the kill actually hit warm sessions.
-		fmt.Printf("%s: scaling 2x=%.2f 4x=%.2f (floor %.1fx) vs baseline 4x=%.2f; failover p99 %.1fms (ceiling %.0fms, steady %.1fms), recreates %d, failed %d\n",
-			flag.Arg(1), cur.Scaling2x, cur.Scaling4x, clusterScalingFloor, old.Scaling4x,
-			cur.FailoverP99Ms, failoverP99CeilingMs, cur.SteadyP99Ms, cur.Recreates, cur.FailedRequests)
-		if cur.Scaling4x < clusterScalingFloor {
-			fail("4-replica throughput scaling %.2fx below the %.1fx floor", cur.Scaling4x, clusterScalingFloor)
-		}
-		if cur.FailedRequests != 0 {
-			fail("%d request(s) never recovered after the replica kill (want 0)", cur.FailedRequests)
-		}
-		if cur.Recreates < 1 {
-			fail("replica kill triggered no session re-creates; the failover path went unexercised")
-		}
-		if cur.FailoverP99Ms > failoverP99CeilingMs {
-			fail("failover-window p99 %.1fms exceeds the %.0fms ceiling", cur.FailoverP99Ms, failoverP99CeilingMs)
-		}
-
-	case len(old.Modes) > 0:
-		// Precision record: deterministic fact-count ratios per
-		// context-sensitivity mode. Soundness violations and a non-strict
-		// stressor are hard failures; the ratio gets the tight 5% bound.
-		byMode := map[string]modeRec{}
-		for _, m := range cur.Modes {
-			byMode[m.Mode] = m
-		}
-		for _, want := range old.Modes {
-			got, ok := byMode[want.Mode]
-			if !ok {
-				fail("mode %q: missing from regenerated record", want.Mode)
-				continue
-			}
-			limit := want.Ratio * (1 + ratioSlack)
-			fmt.Printf("%s: mode %s ratio %.3f vs baseline %.3f (limit %.3f), violations %d\n",
-				flag.Arg(1), want.Mode, got.Ratio, want.Ratio, limit, got.Violations)
-			if got.Violations > 0 {
-				fail("mode %s: %d soundness violation(s) against the oracle", want.Mode, got.Violations)
-			}
-			if got.Ratio > limit {
-				fail("mode %s: precision ratio %.3f regressed more than %.0f%% from baseline %.3f",
-					want.Mode, got.Ratio, ratioSlack*100, want.Ratio)
-			}
-		}
-		if old.Stressor.App != "" && cur.Stressor.App == "" {
-			fail("stressor %s: missing from regenerated record", old.Stressor.App)
-		}
-		if cur.Stressor.App != "" && !cur.Stressor.Strict {
-			fail("stressor %s: context-sensitive solution no longer strictly smaller (off=%d 1cfa=%d 1obj=%d)",
-				cur.Stressor.App, cur.Stressor.InsensitiveFacts, cur.Stressor.CfaFacts, cur.Stressor.ObjFacts)
-		}
-
-	case len(old.Apps) > 0:
-		// Corpus record: behavior exactly, cost within threshold.
-		byName := map[string]appRec{}
-		for _, a := range cur.Apps {
-			byName[a.App] = a
-		}
-		for _, want := range old.Apps {
-			got, ok := byName[want.App]
-			if !ok {
-				fail("%s: missing from regenerated record", want.App)
-				continue
-			}
-			if got.Findings != want.Findings || got.Warnings != want.Warnings {
-				fail("%s: findings/warnings %d/%d, baseline %d/%d",
-					want.App, got.Findings, got.Warnings, want.Findings, want.Warnings)
-			}
-		}
-		if len(cur.Apps) != len(old.Apps) {
-			fail("app count %d, baseline %d", len(cur.Apps), len(old.Apps))
-		}
-		if old.TotalWorkMs > 0 {
-			limit := old.TotalWorkMs * (1 + *threshold)
-			fmt.Printf("%s: totalWorkMs %.1f vs baseline %.1f (limit %.1f)\n",
-				flag.Arg(1), cur.TotalWorkMs, old.TotalWorkMs, limit)
-			if cur.TotalWorkMs > limit {
-				fail("totalWorkMs %.1f exceeds baseline %.1f by more than %.0f%%",
-					cur.TotalWorkMs, old.TotalWorkMs, *threshold*100)
-			}
-		}
-
-	case old.OptSpeedup > 0:
-		// Solver record: two same-machine ratios, each gated by its own
-		// hard floor. Unlike the single-ratio records below, no relative
-		// threshold applies: each ratio divides two separately-measured
-		// solve times, so its run-to-run noise is the *sum* of both sides'
-		// and routinely exceeds 15% on busy single-core runners without any
-		// code change. The baseline comparison is printed for trend reading.
-		fmt.Printf("%s: opt speedup %.2fx vs baseline %.2fx (floor %.1fx); incremental %.2fx (floor %.1fx)\n",
-			flag.Arg(1), cur.OptSpeedup, old.OptSpeedup, optSpeedupFloor,
-			cur.IncSpeedup, speedupFloor)
-		if cur.OptSpeedup < optSpeedupFloor {
-			fail("optimized-engine speedup %.2fx below the %.1fx floor", cur.OptSpeedup, optSpeedupFloor)
-		}
-		if cur.IncSpeedup < speedupFloor {
-			fail("large-app incremental speedup %.2fx below the %.1fx floor", cur.IncSpeedup, speedupFloor)
-		}
-
-	case old.TelemetryOnMs > 0:
-		// Observability record: the telemetry layer's request-latency
-		// overhead, gated by the absolute ceiling. Like the solver ratios,
-		// no relative-to-baseline threshold applies — the percentage divides
-		// two independently measured latency sums, so run-to-run noise would
-		// trip a relative gate without any code change. The baseline figure
-		// is printed for trend reading; the ceiling is the contract.
-		fmt.Printf("%s: telemetry overhead %.2f%% vs baseline %.2f%% (ceiling %.1f%%); on %.1fms off %.1fms\n",
-			flag.Arg(1), cur.OverheadPct, old.OverheadPct, obsOverheadCeiling,
-			cur.TelemetryOnMs, cur.TelemetryOffMs)
-		if cur.TelemetryOnMs == 0 || cur.TelemetryOffMs == 0 {
-			fail("regenerated record is not an observability record (on %.1fms, off %.1fms)",
-				cur.TelemetryOnMs, cur.TelemetryOffMs)
-		} else if cur.OverheadPct > obsOverheadCeiling {
-			fail("telemetry overhead %.2f%% exceeds the %.1f%% ceiling", cur.OverheadPct, obsOverheadCeiling)
-		}
-
-	case old.ColdP50Ms > 0:
-		// Server record: same ratio discipline as the incremental record,
-		// with the transport-inclusive floor. Percentiles are printed for
-		// trend reading but never gate — they are absolute wall-clock.
-		limit := old.Speedup * (1 - *threshold)
-		fmt.Printf("%s: session speedup %.2fx vs baseline %.2fx (limit %.2fx, floor %.1fx); cold p50 %.1fms p99 %.1fms (baseline %.1f/%.1f)\n",
-			flag.Arg(1), cur.Speedup, old.Speedup, limit, serveSpeedupFloor,
-			cur.ColdP50Ms, cur.ColdP99Ms, old.ColdP50Ms, old.ColdP99Ms)
-		if cur.Speedup < limit {
-			fail("session speedup %.2fx regressed more than %.0f%% from baseline %.2fx",
-				cur.Speedup, *threshold*100, old.Speedup)
-		}
-		if cur.Speedup < serveSpeedupFloor {
-			fail("session speedup %.2fx below the %.1fx floor", cur.Speedup, serveSpeedupFloor)
-		}
-
-	case old.WarmMs > 0:
-		// Incremental record: the speedup ratio is the guarded quantity.
-		limit := old.Speedup * (1 - *threshold)
-		fmt.Printf("%s: speedup %.2fx vs baseline %.2fx (limit %.2fx, floor %.1fx)\n",
-			flag.Arg(1), cur.Speedup, old.Speedup, limit, speedupFloor)
-		if cur.Speedup < limit {
-			fail("speedup %.2fx regressed more than %.0f%% from baseline %.2fx",
-				cur.Speedup, *threshold*100, old.Speedup)
-		}
-		if cur.Speedup < speedupFloor {
-			fail("speedup %.2fx below the %.1fx floor", cur.Speedup, speedupFloor)
-		}
-
-	default:
-		fmt.Fprintf(os.Stderr, "benchdiff: %s: unrecognized record shape\n", flag.Arg(0))
-		os.Exit(2)
-	}
-
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "benchdiff: REGRESSION:", f)
@@ -395,4 +50,160 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("benchdiff: ok")
+}
+
+// recordFiles lists the BENCH_*.json file names in dir.
+func recordFiles(dir string) (map[string]bool, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		return nil, err
+	}
+	names := map[string]bool{}
+	for _, p := range paths {
+		names[filepath.Base(p)] = true
+	}
+	return names, nil
+}
+
+// diffDirs diffs every record in newDir against its baseline in baseDir,
+// printing one line per gated metric to out, and returns the failures.
+func diffDirs(baseDir, newDir string, out io.Writer) ([]string, error) {
+	baseNames, err := recordFiles(baseDir)
+	if err != nil {
+		return nil, err
+	}
+	newNames, err := recordFiles(newDir)
+	if err != nil {
+		return nil, err
+	}
+	if len(baseNames) == 0 {
+		return nil, fmt.Errorf("%s: no BENCH_*.json records", baseDir)
+	}
+	all := map[string]bool{}
+	for n := range baseNames {
+		all[n] = true
+	}
+	for n := range newNames {
+		all[n] = true
+	}
+	names := make([]string, 0, len(all))
+	for n := range all {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+
+	var failures []string
+	for _, name := range names {
+		if !baseNames[name] || !newNames[name] {
+			dir := baseDir
+			if newNames[name] {
+				dir = newDir
+			}
+			failures = append(failures, fmt.Sprintf("%s: record present only in %s", name, dir))
+			continue
+		}
+		base, err := benchrec.Read(filepath.Join(baseDir, name))
+		if err != nil {
+			return nil, err
+		}
+		cur, err := benchrec.Read(filepath.Join(newDir, name))
+		if err != nil {
+			return nil, err
+		}
+		failures = append(failures, diffRecord(name, base, cur, out)...)
+	}
+	return failures, nil
+}
+
+// diffRecord applies the baseline's gates to the regenerated record.
+func diffRecord(name string, base, cur *benchrec.Record, out io.Writer) []string {
+	var failures []string
+	fail := func(format string, args ...any) {
+		failures = append(failures, name+": "+fmt.Sprintf(format, args...))
+	}
+	curBy := map[string]benchrec.Metric{}
+	for _, m := range cur.Metrics {
+		curBy[m.Name] = m
+	}
+	baseBy := map[string]bool{}
+	for _, b := range base.Metrics {
+		baseBy[b.Name] = true
+		c, ok := curBy[b.Name]
+		switch {
+		case !ok && b.Gated():
+			fail("%s: missing from the regenerated record", b.Name)
+			continue
+		case !ok:
+			continue
+		case (b.Gated() || c.Gated()) && gate(b) != gate(c):
+			fail("%s: gate changed from %s to %s; re-baseline", b.Name, gate(b), gate(c))
+			continue
+		case !b.Gated():
+			continue
+		}
+		fmt.Fprintf(out, "%s: %s %g %s vs baseline %g (%s)\n",
+			name, b.Name, c.Value, b.Unit, b.Value, gate(b))
+		if msg := check(b, c.Value); msg != "" {
+			fail("%s: %s", b.Name, msg)
+		}
+	}
+	for _, c := range cur.Metrics {
+		if c.Gated() && !baseBy[c.Name] {
+			fail("%s: gated metric missing from the baseline", c.Name)
+		}
+	}
+	return failures
+}
+
+// gate renders a metric's gate declaration; two metrics gate alike iff
+// their renderings match.
+func gate(m benchrec.Metric) string {
+	s := string(m.Better)
+	if m.Slack != nil {
+		s += fmt.Sprintf(", slack %g", *m.Slack)
+	}
+	if m.Limit != nil {
+		s += fmt.Sprintf(", limit %g", *m.Limit)
+	}
+	return s
+}
+
+// bound returns the tightest acceptable value under base's gate: for
+// higher, the value may not fall below it; for lower, not rise above it.
+// ok is false for an equal or ungated metric.
+func bound(base benchrec.Metric) (b float64, ok bool) {
+	if base.Better == benchrec.Equal {
+		return 0, false
+	}
+	sign := 1.0 // lower is better: the value may rise by the slack
+	if base.Better == benchrec.Higher {
+		sign = -1
+	}
+	if base.Slack != nil {
+		b, ok = base.Value*(1+sign*(*base.Slack)), true
+	}
+	if base.Limit != nil && (!ok || sign*(*base.Limit) < sign*b) {
+		b, ok = *base.Limit, true
+	}
+	return b, ok
+}
+
+// check returns why v fails base's gate, or "" when it holds.
+func check(base benchrec.Metric, v float64) string {
+	if base.Better == benchrec.Equal {
+		if v != base.Value {
+			return fmt.Sprintf("%g, baseline %g (must be equal)", v, base.Value)
+		}
+		return ""
+	}
+	limit, ok := bound(base)
+	switch {
+	case !ok:
+		return ""
+	case base.Better == benchrec.Higher && v < limit:
+		return fmt.Sprintf("%g %s below %g (baseline %g; %s)", v, base.Unit, limit, base.Value, gate(base))
+	case base.Better == benchrec.Lower && v > limit:
+		return fmt.Sprintf("%g %s above %g (baseline %g; %s)", v, base.Unit, limit, base.Value, gate(base))
+	}
+	return ""
 }

@@ -1,77 +1,39 @@
 package main
 
-// The -clusterjson benchmark (BENCH_9.json): what the cluster tier buys
-// and what a replica failure costs, measured end to end through
-// cmd/gatorproxy's routing layer. Two experiments:
-//
-//   - throughput scaling: the same request load (distinct apps, NoCache,
-//     16 concurrent clients) against 1, 2, and 4 replicas. Every replica
-//     runs Workers=1 with a fixed ServiceDelay, modeling one
-//     single-machine analysis unit with a known service time; because the
-//     delay dominates and sleeping requests overlap across replicas on
-//     any core count, the measured ratio is the ROUTER's scaling — how
-//     well consistent hashing spreads independent apps — and is
-//     reproducible on single-core CI runners, where a CPU-bound variant
-//     of this benchmark would measure only the core count. The nightly
-//     benchdiff gate fails when 4-replica scaling drops below 1.5x.
-//
-//   - failover: warm sessions patched through the proxy while one replica
-//     is killed mid-run. Patches on dead sessions 404; the benchmark
-//     recovers exactly as a real client does — re-create, re-patch — and
-//     records the tail latency of the failover window next to the steady
-//     state. The gate requires zero unrecovered requests and at least one
-//     re-create (otherwise the kill missed every session and the run
-//     proved nothing).
+// The cluster benchmark record (BENCH_9.json): what a replica failure
+// costs, measured end to end through cmd/gatorproxy's routing layer. Warm
+// sessions are patched through a 2-replica proxy while one replica is
+// killed mid-run. Patches on dead sessions 404; the benchmark recovers
+// exactly as a real client does — re-create, re-patch — and records the
+// tail latency of the failover window next to the steady state. The gates
+// require zero unrecovered requests and at least one re-create (otherwise
+// the kill missed every session and the run proved nothing).
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
+	"gator/internal/benchrec"
 	"gator/internal/cluster"
 	"gator/internal/corpus"
 	"gator/internal/server"
 )
 
-// clusterBenchOutput is the -clusterjson file shape. Scaling4x > 0 is what
-// cmd/benchdiff uses to detect this record shape.
-type clusterBenchOutput struct {
-	GeneratedAt    string  `json:"generatedAt"`
-	Cores          int     `json:"cores"`
-	ServiceDelayMs float64 `json:"serviceDelayMs"`
-	Requests       int     `json:"requests"`
-	Concurrency    int     `json:"concurrency"`
-	Throughput1    float64 `json:"throughput1"` // req/s, 1 replica
-	Throughput2    float64 `json:"throughput2"`
-	Throughput4    float64 `json:"throughput4"`
-	Scaling2x      float64 `json:"scaling2x"`
-	Scaling4x      float64 `json:"scaling4x"`
-
-	FailoverSessions int     `json:"failoverSessions"`
-	FailoverPatches  int     `json:"failoverPatches"`
-	SteadyP99Ms      float64 `json:"steadyP99Ms"`
-	FailoverP99Ms    float64 `json:"failoverP99Ms"`
-	Recreates        int     `json:"recreates"`
-	FailedRequests   int     `json:"failedRequests"`
-}
-
 // benchCluster is a proxy over n in-process replicas, ready for load.
 type benchCluster struct {
-	proxy  *cluster.Proxy
-	ln     net.Listener
 	hs     *http.Server
 	reps   []*cluster.LocalReplica
 	client *server.Client
 }
 
-func startBenchCluster(n int, delay time.Duration) (*benchCluster, error) {
+func startBenchCluster(n int) (*benchCluster, error) {
 	p := cluster.New(cluster.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -79,17 +41,13 @@ func startBenchCluster(n int, delay time.Duration) (*benchCluster, error) {
 	}
 	hs := &http.Server{Handler: p.Handler()}
 	go hs.Serve(ln)
-	bc := &benchCluster{proxy: p, ln: ln, hs: hs,
-		client: server.NewClient("http://" + ln.Addr().String())}
+	bc := &benchCluster{hs: hs, client: server.NewClient("http://" + ln.Addr().String())}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("r%d", i)
-		// Workers=1 + a fixed ServiceDelay: each replica is one serial
-		// analysis unit with a known service time (see the file comment).
 		lr, err := cluster.StartLocalReplica(name, server.Config{
-			Workers:      1,
-			QueueDepth:   256,
-			ServiceDelay: delay,
-			NoTelemetry:  true,
+			Workers:     1,
+			QueueDepth:  256,
+			NoTelemetry: true,
 		})
 		if err != nil {
 			bc.close()
@@ -108,116 +66,18 @@ func (bc *benchCluster) close() {
 	bc.hs.Close()
 }
 
-// measureThroughput drives reqs distinct-app requests through conc
-// concurrent clients and returns requests per second.
-func measureThroughput(bc *benchCluster, apps []server.AnalyzeRequest, conc int) (float64, error) {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	next := make(chan server.AnalyzeRequest)
-	start := time.Now()
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for req := range next {
-				if _, err := bc.client.Analyze(req); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, req := range apps {
-		next <- req
-	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return float64(len(apps)) / time.Since(start).Seconds(), nil
-}
-
-func writeClusterJSON(path string) error {
-	const (
-		delay    = 20 * time.Millisecond
-		reqs     = 96
-		conc     = 16
-		distinct = 8 // distinct generated apps, cycled across request names
-	)
-
-	// Pre-generate the request bodies once; every request carries a
-	// distinct name (the routing key) and NoCache so each one is a real
-	// job — no tier anywhere may short-circuit the service time.
-	var seeds []server.AnalyzeRequest
-	for i := 0; i < distinct; i++ {
-		sources, layouts := corpus.RandomApp(int64(2000 + i))
-		seeds = append(seeds, server.AnalyzeRequest{
-			Sources: sources, Layouts: layouts,
-			ReportSpec: server.ReportSpec{Report: "summary"},
-			NoCache:    true,
-		})
-	}
-	apps := make([]server.AnalyzeRequest, reqs)
-	for i := range apps {
-		apps[i] = seeds[i%distinct]
-		apps[i].Name = fmt.Sprintf("load-%d", i)
-	}
-
-	out := clusterBenchOutput{
-		GeneratedAt:    time.Now().UTC().Format(time.RFC3339),
-		Cores:          runtime.NumCPU(),
-		ServiceDelayMs: ms(delay),
-		Requests:       reqs,
-		Concurrency:    conc,
-	}
-
-	throughputs := map[int]float64{}
-	for _, n := range []int{1, 2, 4} {
-		bc, err := startBenchCluster(n, delay)
-		if err != nil {
-			return fmt.Errorf("clusterjson: boot %d replicas: %w", n, err)
-		}
-		thr, err := measureThroughput(bc, apps, conc)
-		bc.close()
-		if err != nil {
-			return fmt.Errorf("clusterjson: %d-replica load: %w", n, err)
-		}
-		throughputs[n] = thr
-	}
-	out.Throughput1 = throughputs[1]
-	out.Throughput2 = throughputs[2]
-	out.Throughput4 = throughputs[4]
-	out.Scaling2x = throughputs[2] / throughputs[1]
-	out.Scaling4x = throughputs[4] / throughputs[1]
-
-	if err := runFailover(&out, delay); err != nil {
-		return fmt.Errorf("clusterjson: failover: %w", err)
-	}
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// runFailover patches warm sessions through a 2-replica cluster, kills
+// clusterRecord patches warm sessions through a 2-replica cluster, kills
 // one replica mid-run, and recovers via the client's 404 → re-create
 // path, recording tail latencies and the recovery counts.
-func runFailover(out *clusterBenchOutput, delay time.Duration) error {
+func clusterRecord(benchRun) (*benchrec.Record, error) {
 	const (
 		sessions    = 8
 		steadyRound = 3 // patch rounds before the kill
 		failRounds  = 3 // patch rounds after the kill
 	)
-	bc, err := startBenchCluster(2, delay)
+	bc, err := startBenchCluster(2)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer bc.close()
 
@@ -232,7 +92,7 @@ func runFailover(out *clusterBenchOutput, delay time.Duration) error {
 	for i := range ids {
 		open, err := bc.client.OpenSession(openReq(i))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ids[i] = open.SessionID
 	}
@@ -297,14 +157,21 @@ func runFailover(out *clusterBenchOutput, delay time.Duration) error {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 		return ms(lats[(len(lats)*99)/100])
 	}
-	out.FailoverSessions = sessions
-	out.FailoverPatches = len(steady) + len(failover)
-	out.SteadyP99Ms = p99(steady)
-	out.FailoverP99Ms = p99(failover)
-	out.Recreates = recreates
-	out.FailedRequests = failed
 	if recreates == 0 {
-		return errors.New("the kill missed every session; the failover measurement proved nothing")
+		return nil, errors.New("the kill missed every session; the failover measurement proved nothing")
 	}
-	return nil
+	rec := &benchrec.Record{Context: map[string]string{
+		"cores":            strconv.Itoa(runtime.NumCPU()),
+		"failoverSessions": strconv.Itoa(sessions),
+		"failoverPatches":  strconv.Itoa(len(steady) + len(failover)),
+	}}
+	rec.Add(
+		benchrec.LowerIsBetter("steadyP99Ms", "ms", p99(steady)),
+		// A kill may cost the affected sessions a re-create (one cold
+		// solve), never a stall; the ceiling is absolute wall-clock.
+		benchrec.LowerIsBetter("failoverP99Ms", "ms", p99(failover)).WithLimit(2000),
+		benchrec.HigherIsBetter("recreates", "count", float64(recreates)).WithLimit(1),
+		benchrec.LowerIsBetter("failedRequests", "count", float64(failed)).WithLimit(0),
+	)
+	return rec, nil
 }

@@ -1,51 +1,15 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"time"
+	"strconv"
 
 	"gator/internal/analysis"
+	"gator/internal/benchrec"
 	"gator/internal/core"
 	"gator/internal/corpus"
 	"gator/internal/ir"
 )
-
-// lifeScenario is one synthesized ordering scenario's outcome: whether the
-// seeded bug's checker located it, and how many lifecycle findings its
-// clean twin (same shape, legal ordering) produced.
-type lifeScenario struct {
-	Name          string `json:"name"`
-	Bug           string `json:"bug"`
-	Depth         int    `json:"depth"`
-	Branch        bool   `json:"branch"`
-	Detected      bool   `json:"detected"`
-	CleanFindings int    `json:"cleanFindings"`
-}
-
-// lifeChecker aggregates one ordering checker over its scenarios.
-type lifeChecker struct {
-	Checker  string `json:"checker"`
-	Seeded   int    `json:"seeded"`
-	Detected int    `json:"detected"`
-	// Recall is Detected/Seeded over synthesized bugs of this checker's kind.
-	Recall float64 `json:"recall"`
-	// CleanFindings counts lifecycle findings on the clean twins — any
-	// nonzero value is a false positive by construction.
-	CleanFindings int `json:"cleanFindings"`
-}
-
-// lifeOutput is the -lifejson file shape (BENCH_10.json): measured recall
-// of the ordering checkers over the synthesized scenario pack. The nightly
-// benchdiff gate fails when any checker's recall drops below 0.9 or any
-// clean twin produces a finding.
-type lifeOutput struct {
-	GeneratedAt string         `json:"generatedAt"`
-	Scenarios   int            `json:"scenarios"`
-	Checkers    []lifeChecker  `json:"checkers"`
-	Detail      []lifeScenario `json:"detail"`
-}
 
 // lifecycleFindings analyzes one scenario app and counts its lifecycle-*
 // findings by checker ID.
@@ -66,64 +30,60 @@ func lifecycleFindings(app *corpus.App) (map[string]int, error) {
 	return counts, nil
 }
 
-// writeLifecycleJSON runs the ordering-bug scenario pack — n seeded-bug
-// apps plus their clean twins — through the lifecycle checkers and records
-// per-checker recall and clean-twin false positives.
-func writeLifecycleJSON(path string, n int) error {
-	specs := corpus.ScenarioPack(n)
-	byChecker := map[string]*lifeChecker{}
-	out := lifeOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scenarios:   len(specs),
-	}
+// lifecycleRecord (BENCH_10.json) runs the ordering-bug scenario pack —
+// seeded-bug apps plus their clean twins — through the lifecycle checkers
+// and records per-checker recall and clean-twin false positives. Every
+// gate is an absolute bound on a deterministic count over generated apps.
+func lifecycleRecord(benchRun) (*benchrec.Record, error) {
+	type tally struct{ seeded, detected, clean int }
+	specs := corpus.ScenarioPack(24)
+	byChecker := map[string]*tally{}
+	var order []string
+	var scenarios []benchrec.Metric
 	for _, spec := range specs {
 		id := spec.Bug.CheckerID()
 		agg := byChecker[id]
 		if agg == nil {
-			agg = &lifeChecker{Checker: id}
+			agg = &tally{}
 			byChecker[id] = agg
+			order = append(order, id)
 		}
 		buggy, err := lifecycleFindings(corpus.GenerateScenario(spec))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		clean, err := lifecycleFindings(corpus.GenerateScenario(spec.CleanTwin()))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cleanTotal := 0
 		for _, c := range clean {
 			cleanTotal += c
 		}
-		agg.Seeded++
-		detected := buggy[id] > 0
-		if detected {
-			agg.Detected++
+		detected := 0
+		if buggy[id] > 0 {
+			detected = 1
 		}
-		agg.CleanFindings += cleanTotal
-		out.Detail = append(out.Detail, lifeScenario{
-			Name:          spec.Name(),
-			Bug:           spec.Bug.String(),
-			Depth:         spec.Depth,
-			Branch:        spec.Branch,
-			Detected:      detected,
-			CleanFindings: cleanTotal,
-		})
+		agg.seeded++
+		agg.detected += detected
+		agg.clean += cleanTotal
+		scenarios = append(scenarios,
+			benchrec.HigherIsBetter(spec.Name()+"/detected", "count", float64(detected)),
+			benchrec.LowerIsBetter(spec.Name()+"/cleanFindings", "count", float64(cleanTotal)),
+		)
 	}
-	// Render checkers in first-seen (pack) order with recall computed.
-	for _, spec := range specs {
-		id := spec.Bug.CheckerID()
-		agg, ok := byChecker[id]
-		if !ok {
-			continue
-		}
-		delete(byChecker, id)
-		agg.Recall = float64(agg.Detected) / float64(agg.Seeded)
-		out.Checkers = append(out.Checkers, *agg)
+	rec := &benchrec.Record{Context: map[string]string{"scenarios": strconv.Itoa(len(specs))}}
+	for _, id := range order {
+		agg := byChecker[id]
+		rec.Add(
+			benchrec.HigherIsBetter(id+"/seeded", "count", float64(agg.seeded)).WithLimit(1),
+			benchrec.HigherIsBetter(id+"/detected", "count", float64(agg.detected)),
+			benchrec.HigherIsBetter(id+"/recall", "ratio", float64(agg.detected)/float64(agg.seeded)).WithLimit(0.9),
+			// A clean twin has the bug's shape with a legal ordering, so any
+			// finding on one is a false positive by construction.
+			benchrec.LowerIsBetter(id+"/cleanFindings", "count", float64(agg.clean)).WithLimit(0),
+		)
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	rec.Add(scenarios...)
+	return rec, nil
 }

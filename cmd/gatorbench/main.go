@@ -10,23 +10,29 @@
 //	gatorbench [-table 1|2|precision|all] [-app NAME] [-seed N] [-j N] [-stats]
 //	           [-filter-casts] [-shared-inflation] [-no-findview3] [-declared-dispatch]
 //	           [-ctx off|1cfa|1obj] [-trace FILE] [-metrics FILE] [-pprof ADDR]
-//	           [-benchjson FILE] [-incjson FILE] [-solvejson FILE] [-precjson FILE]
-//	           [-servejson FILE] [-obsjson FILE] [-clusterjson FILE]
+//	           [-records DIR]
+//
+// -records DIR also measures every benchmark record (see records) and
+// writes each into DIR under its BENCH_*.json name; `-records .`
+// re-baselines the checked-in records, and scripts/benchdiff.sh diffs a
+// fresh set against them.
 package main
 
 import (
-	"encoding/json"
 	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
 	_ "net/http/pprof" // -pprof serves the standard profiling endpoints
 	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
 	"gator"
+	"gator/internal/benchrec"
 	"gator/internal/corpus"
 	"gator/internal/metrics"
 	"gator/internal/trace"
@@ -43,14 +49,7 @@ func main() {
 	ctxMode := flag.String("ctx", "off", "context sensitivity: off, 1cfa (call-site cloning), or 1obj (receiver-object cloning)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel analysis workers")
 	stats := flag.Bool("stats", false, "print per-stage batch statistics to stderr")
-	benchJSON := flag.String("benchjson", "", "write machine-readable benchmark results to `file`")
-	incJSON := flag.String("incjson", "", "write the incremental re-analysis benchmark (single-file edit, warm vs cold) to `file`")
-	solveJSON := flag.String("solvejson", "", "write the solver engine benchmark (reference vs CSR+delta, plus >64-unit incremental) to `file`")
-	precJSON := flag.String("precjson", "", "write the precision benchmark (solution/oracle ratio per context-sensitivity mode, plus the polymorphic-helper stressor) to `file`")
-	serveJSON := flag.String("servejson", "", "write the server benchmark (request latency percentiles, warm session speedup) to `file`")
-	obsJSON := flag.String("obsjson", "", "write the telemetry overhead benchmark (request latency with the telemetry layer on vs off) to `file`")
-	clusterJSON := flag.String("clusterjson", "", "write the cluster benchmark (throughput scaling at 1/2/4 replicas, failover tail latency under a mid-run replica kill) to `file`")
-	lifeJSON := flag.String("lifejson", "", "write the lifecycle-checker recall benchmark (per-checker recall over synthesized ordering-bug scenarios plus clean-twin false positives) to `file`")
+	recordsDir := flag.String("records", "", "measure every benchmark record and write each into `dir` under its BENCH_*.json name")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the corpus run to `file`")
 	metricsOut := flag.String("metrics", "", "write the aggregated counter/histogram registry as JSON to `file` (\"-\" for stderr; implies tracing)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on `addr` (e.g. localhost:6060) for the duration of the run")
@@ -184,50 +183,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, batch, *jobs); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *incJSON != "" {
-		if err := writeIncrementalJSON(*incJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *solveJSON != "" {
-		if err := writeSolveJSON(*solveJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *serveJSON != "" {
-		if err := writeServeJSON(*serveJSON, *jobs); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *obsJSON != "" {
-		if err := writeObsJSON(*obsJSON, *jobs); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *clusterJSON != "" {
-		if err := writeClusterJSON(*clusterJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *precJSON != "" {
-		if err := writePrecisionJSON(*precJSON, *seed, *jobs); err != nil {
-			fmt.Fprintln(os.Stderr, "gatorbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *lifeJSON != "" {
-		if err := writeLifecycleJSON(*lifeJSON, 24); err != nil {
+	if *recordsDir != "" {
+		if err := writeRecords(*recordsDir, benchRun{batch: batch, jobs: *jobs, seed: *seed}); err != nil {
 			fmt.Fprintln(os.Stderr, "gatorbench:", err)
 			os.Exit(1)
 		}
@@ -238,90 +195,99 @@ func main() {
 	}
 }
 
-// benchApp is one application's record in the -benchjson output.
-type benchApp struct {
-	App        string  `json:"app"`
-	AnalysisMs float64 `json:"analysisMs"`
-	Iterations int     `json:"iterations"`
-	ChecksMs   float64 `json:"checksMs"`
-	Findings   int     `json:"findings"`
-	Warnings   int     `json:"warnings"`
+// benchRun is what a record's measurement may draw on: the corpus batch
+// the tables were rendered from, and the run's flags.
+type benchRun struct {
+	batch *gator.BatchResult
+	jobs  int
+	seed  int64
 }
 
-// benchOutput is the -benchjson file shape: corpus-wide per-app analysis
-// and diagnostics cost, plus batch parallelism numbers — the repo's
-// recorded performance trajectory across PRs.
-type benchOutput struct {
-	GeneratedAt string     `json:"generatedAt"`
-	Workers     int        `json:"workers"`
-	BatchWallMs float64    `json:"batchWallMs"`
-	TotalWorkMs float64    `json:"totalWorkMs"`
-	Speedup     float64    `json:"speedup"`
-	Apps        []benchApp `json:"apps"`
+// records is the one list of benchmark records. -records writes each
+// under its file name; scripts/benchdiff.sh diffs them against the
+// checked-in baselines of the same names. Each measure function declares
+// its metrics' gates where it measures them (see internal/benchrec). The
+// records share one process, so the order is part of the measurement
+// conditions: it is the order the checked-in baselines were measured in.
+var records = []struct {
+	file    string
+	measure func(benchRun) (*benchrec.Record, error)
+}{
+	{"BENCH_2.json", corpusRecord},
+	{"BENCH_4.json", incrementalRecord},
+	{"BENCH_6.json", solveRecord},
+	{"BENCH_5.json", serveRecord},
+	{"BENCH_8.json", obsRecord},
+	{"BENCH_9.json", clusterRecord},
+	{"BENCH_7.json", precisionRecord},
+	{"BENCH_10.json", lifecycleRecord},
 }
 
-func writeBenchJSON(path string, batch *gator.BatchResult, workers int) error {
-	out := benchOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Workers:     workers,
-		BatchWallMs: ms(batch.Stats.Wall),
-		TotalWorkMs: ms(batch.Stats.TotalWork()),
-		Speedup:     batch.Stats.Speedup(),
+func writeRecords(dir string, run benchRun) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	for _, rep := range batch.Apps {
+	for _, r := range records {
+		rec, err := r.measure(run)
+		if err != nil {
+			return fmt.Errorf("%s: %w", r.file, err)
+		}
+		if err := benchrec.Write(filepath.Join(dir, r.file), rec); err != nil {
+			return err
+		}
+		// Only the corpus record, first in the list, reads the batch.
+		// Releasing it takes twenty apps' analysis results off the live
+		// heap, which would otherwise space out GC cycles and skew the
+		// allocation-heavy timings of every later record.
+		run.batch = nil
+	}
+	return nil
+}
+
+// corpusRecord (BENCH_2.json) is the corpus-wide per-app analysis and
+// diagnostics cost of the batch the tables came from.
+func corpusRecord(run benchRun) (*benchrec.Record, error) {
+	stats := run.batch.Stats
+	rec := &benchrec.Record{Context: map[string]string{"workers": strconv.Itoa(run.jobs)}}
+	rec.Add(
+		benchrec.LowerIsBetter("batchWallMs", "ms", ms(stats.Wall)),
+		benchrec.LowerIsBetter("totalWorkMs", "ms", ms(stats.TotalWork())).WithSlack(0.15),
+		benchrec.HigherIsBetter("speedup", "x", stats.Speedup()),
+	)
+	for _, rep := range run.batch.Apps {
 		if rep.Err != nil {
 			continue
 		}
 		start := time.Now()
 		cr, err := rep.Result.CheckReport()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out.Apps = append(out.Apps, benchApp{
-			App:        rep.Name,
-			AnalysisMs: ms(rep.Result.Elapsed()),
-			Iterations: rep.Result.Iterations(),
-			ChecksMs:   ms(time.Since(start)),
-			Findings:   len(cr.Findings),
-			Warnings:   cr.Warnings(),
-		})
+		// Findings and warnings are behaviour, not cost: any drift fails.
+		rec.Add(
+			benchrec.LowerIsBetter(rep.Name+"/analysisMs", "ms", ms(rep.Result.Elapsed())),
+			benchrec.LowerIsBetter(rep.Name+"/iterations", "count", float64(rep.Result.Iterations())),
+			benchrec.LowerIsBetter(rep.Name+"/checksMs", "ms", ms(time.Since(start))),
+			benchrec.MustEqual(rep.Name+"/findings", "count", float64(len(cr.Findings))),
+			benchrec.MustEqual(rep.Name+"/warnings", "count", float64(cr.Warnings())),
+		)
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return rec, nil
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// incBenchOutput is the -incjson file shape (BENCH_4.json): the cost of
-// re-analyzing after a single-file body edit, warm (AnalyzeIncremental
-// resuming the retained fact base) vs cold (Load + Analyze from scratch),
-// on a mid-sized modular app. (The paged unit bitsets no longer cap how
-// many units dependency tracking covers; the -solvejson benchmark records
-// the same measurement on a 502-unit app.)
-// Speedup is the recorded incremental-solving win; the nightly
-// benchdiff gate fails when it regresses below 5x or by more than the
-// threshold against the checked-in record.
-type incBenchOutput struct {
-	GeneratedAt string  `json:"generatedAt"`
-	App         string  `json:"app"`
-	Units       int     `json:"units"`
-	Edits       int     `json:"edits"`
-	ColdMs      float64 `json:"coldMs"`
-	WarmMs      float64 `json:"warmMs"`
-	Speedup     float64 `json:"speedup"`
-	Retained    int     `json:"retained"`
-	Retracted   int     `json:"retracted"`
-}
-
-// writeIncrementalJSON measures the incremental-edit benchmark: the same
-// alternating body-only edit the BenchmarkIncrementalEdit/BenchmarkScratchEdit
-// pair in incremental_bench_test.go runs, timed here over a fixed number of
-// edits with the minimum per-edit time reported (minimum, not mean, to shed
-// scheduler noise on shared CI runners).
-func writeIncrementalJSON(path string) error {
+// incrementalRecord (BENCH_4.json) measures the cost of re-analyzing
+// after a single-file body edit, warm (AnalyzeIncremental resuming the
+// retained fact base) vs cold (Load + Analyze from scratch), on a
+// mid-sized modular app: the same alternating body-only edit the
+// BenchmarkIncrementalEdit/BenchmarkScratchEdit pair in
+// incremental_bench_test.go runs, timed over a fixed number of edits with
+// the minimum per-edit time reported (minimum, not mean, to shed
+// scheduler noise on shared CI runners). The speedup is a same-machine
+// ratio, so it is stable across runner hardware in a way absolute
+// milliseconds are not.
+func incrementalRecord(benchRun) (*benchrec.Record, error) {
 	const nActs = 30 // keep in sync with benchEditSize (incremental_bench_test.go)
 	const edits = 10
 	sources, layouts := corpus.ModularApp(nActs)
@@ -329,7 +295,7 @@ func writeIncrementalJSON(path string) error {
 	va := strings.Replace(base, "\t\tthis.stash = back;\n", "\t\tthis.stash = btn;\n", 1)
 	vb := strings.Replace(base, "\t\tthis.stash = back;\n", "\t\tthis.stash = p;\n", 1)
 	if va == base || vb == base {
-		return fmt.Errorf("incjson: edit variants did not apply to act1.alite")
+		return nil, fmt.Errorf("edit variants did not apply to act1.alite")
 	}
 	edit := func(i int) {
 		if i%2 == 0 {
@@ -347,7 +313,7 @@ func writeIncrementalJSON(path string) error {
 		start := time.Now()
 		app, err := gator.Load(sources, layouts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		app.Analyze(gator.Options{})
 		if d := time.Since(start); d < cold {
@@ -360,7 +326,7 @@ func writeIncrementalJSON(path string) error {
 	c := gator.NewCache()
 	prev, err := gator.AnalyzeIncremental(nil, sources, layouts, gator.Options{}, c)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	warm := time.Duration(1<<63 - 1)
 	var last gator.IncrementalStats
@@ -369,12 +335,12 @@ func writeIncrementalJSON(path string) error {
 		start := time.Now()
 		res, err := gator.AnalyzeIncremental(prev, sources, layouts, gator.Options{}, c)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		d := time.Since(start)
 		last = res.Incremental()
 		if last.Mode != "warm" {
-			return fmt.Errorf("incjson: edit %d fell back to %q (%s)", i, last.Mode, last.Reason)
+			return nil, fmt.Errorf("edit %d fell back to %q (%s)", i, last.Mode, last.Reason)
 		}
 		if d < warm {
 			warm = d
@@ -382,22 +348,21 @@ func writeIncrementalJSON(path string) error {
 		prev = res
 	}
 
-	out := incBenchOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		App:         fmt.Sprintf("modular-%d", nActs),
-		Units:       len(sources) + len(layouts),
-		Edits:       edits,
-		ColdMs:      ms(cold),
-		WarmMs:      ms(warm),
-		Speedup:     float64(cold) / float64(warm),
-		Retained:    last.Retained,
-		Retracted:   last.Retracted,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	rec := &benchrec.Record{Context: map[string]string{
+		"app":   fmt.Sprintf("modular-%d", nActs),
+		"units": strconv.Itoa(len(sources) + len(layouts)),
+		"edits": strconv.Itoa(edits),
+	}}
+	rec.Add(
+		benchrec.LowerIsBetter("coldMs", "ms", ms(cold)),
+		benchrec.LowerIsBetter("warmMs", "ms", ms(warm)),
+		// The 5x floor is what the incremental re-solver is built to clear
+		// (DESIGN.md, "Incremental solving").
+		benchrec.HigherIsBetter("speedup", "x", float64(cold)/float64(warm)).WithSlack(0.15).WithLimit(5),
+		benchrec.HigherIsBetter("retained", "count", float64(last.Retained)),
+		benchrec.LowerIsBetter("retracted", "count", float64(last.Retracted)),
+	)
+	return rec, nil
 }
 
 // writeTrace writes the collected events in Chrome trace_event format.

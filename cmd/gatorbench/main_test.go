@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -136,5 +137,29 @@ func TestGatorbenchTraceAndMetrics(t *testing.T) {
 		if !strings.Contains(string(metricsData), want) {
 			t.Errorf("metrics missing %s\n%s", want, metricsData)
 		}
+	}
+}
+
+// TestRecordListMatchesBaselines holds gatorbench's record list equal to
+// the set of checked-in BENCH_*.json baselines, so a record cannot be
+// measured without a baseline to diff against, nor a baseline left with
+// nothing regenerating it. The scripts that run -records and benchdiff
+// are held by the root package's TestBenchRecordWiringInSync.
+func TestRecordListMatchesBaselines(t *testing.T) {
+	checkedIn, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, p := range checkedIn {
+		want = append(want, filepath.Base(p))
+	}
+	for _, r := range records {
+		got = append(got, r.file)
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if len(want) == 0 || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("gatorbench records %v, checked-in baselines %v", got, want)
 	}
 }

@@ -1,61 +1,22 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"time"
+	"strconv"
 
 	"gator"
+	"gator/internal/benchrec"
 	"gator/internal/corpus"
 )
 
-// precApp is one application's record inside a -precjson mode entry.
-type precApp struct {
-	App           string  `json:"app"`
-	StaticFacts   int     `json:"staticFacts"`
-	ObservedFacts int     `json:"observedFacts"`
-	Ratio         float64 `json:"ratio"`
-	Violations    int     `json:"violations"`
-}
-
-// precMode is one context-sensitivity mode's corpus-wide precision record.
-type precMode struct {
-	Mode       string    `json:"mode"`
-	Ratio      float64   `json:"ratio"`
-	Violations int       `json:"violations"`
-	AnalysisMs float64   `json:"analysisMs"`
-	Apps       []precApp `json:"apps"`
-}
-
-// precStressor is the polymorphic-helper acceptance measurement: on the
-// n-activity shared-helper app the context-sensitive solutions must be
-// strictly smaller than the insensitive one (Strict), fact counts recorded
-// for trend reading.
-type precStressor struct {
-	App              string `json:"app"`
-	InsensitiveFacts int    `json:"insensitiveFacts"`
-	CfaFacts         int    `json:"cfaFacts"`
-	ObjFacts         int    `json:"objFacts"`
-	Strict           bool   `json:"strict"`
-}
-
-// precOutput is the -precjson file shape (BENCH_7.json): the measured
-// precision frontier. Ratio is total static solution size over total
-// oracle-observed facts (1.0 would be an exact analysis); the nightly
-// benchdiff gate fails when a mode's ratio regresses by more than 5%, when
-// any soundness violation appears, or when the stressor stops being strict.
-type precOutput struct {
-	GeneratedAt string       `json:"generatedAt"`
-	Seed        int64        `json:"seed"`
-	Modes       []precMode   `json:"modes"`
-	Stressor    precStressor `json:"stressor"`
-}
-
-// writePrecisionJSON runs the full corpus under each context-sensitivity
-// mode, scores every solution against the interpreter oracle, and adds the
-// polymorphic-helper stressor comparison.
-func writePrecisionJSON(path string, seed int64, jobs int) error {
+// precisionRecord (BENCH_7.json) is the measured precision frontier: the
+// full corpus under each context-sensitivity mode, every solution scored
+// against the interpreter oracle, plus the polymorphic-helper stressor.
+// A ratio is total static solution size over total oracle-observed facts
+// (1.0 would be an exact analysis). The ratios count canonical facts, not
+// time, so they reproduce exactly and take a bound far tighter than a
+// timing would.
+func precisionRecord(run benchRun) (*benchrec.Record, error) {
 	var inputs []gator.BatchInput
 	for _, app := range corpus.GenerateAll() {
 		inputs = append(inputs, gator.BatchInput{
@@ -65,64 +26,65 @@ func writePrecisionJSON(path string, seed int64, jobs int) error {
 		})
 	}
 
-	out := precOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Seed:        seed,
-	}
-	for _, mode := range []gator.CtxMode{gator.CtxOff, gator.Ctx1CFA, gator.Ctx1Obj} {
+	const stressN = 8
+	rec := &benchrec.Record{Context: map[string]string{
+		"seed":     strconv.FormatInt(run.seed, 10),
+		"stressor": fmt.Sprintf("polyhelper-%d", stressN),
+	}}
+	modes := []gator.CtxMode{gator.CtxOff, gator.Ctx1CFA, gator.Ctx1Obj}
+	for _, mode := range modes {
 		batch := gator.AnalyzeBatch(inputs, gator.BatchOptions{
-			Workers: jobs,
+			Workers: run.jobs,
 			Options: gator.Options{ContextSensitivity: mode},
 		})
-		rec := precMode{Mode: mode.String(), AnalysisMs: ms(batch.Stats.TotalWork())}
-		staticSum, observedSum := 0, 0
+		var perApp []benchrec.Metric
+		staticSum, observedSum, violations := 0, 0, 0
 		for _, rep := range batch.Apps {
 			if rep.Err != nil {
-				return fmt.Errorf("precjson: %s under %s: %v", rep.Name, mode, rep.Err)
+				return nil, fmt.Errorf("%s under %s: %v", rep.Name, mode, rep.Err)
 			}
-			er := rep.Result.Explore(seed)
-			rec.Apps = append(rec.Apps, precApp{
-				App:           rep.Name,
-				StaticFacts:   er.StaticFacts,
-				ObservedFacts: er.ObservedFacts,
-				Ratio:         er.PrecisionRatio,
-				Violations:    len(er.Violations),
-			})
-			rec.Violations += len(er.Violations)
+			er := rep.Result.Explore(run.seed)
+			key := mode.String() + "/" + rep.Name + "/"
+			perApp = append(perApp,
+				benchrec.LowerIsBetter(key+"staticFacts", "count", float64(er.StaticFacts)),
+				benchrec.HigherIsBetter(key+"observedFacts", "count", float64(er.ObservedFacts)),
+				benchrec.LowerIsBetter(key+"ratio", "ratio", er.PrecisionRatio),
+				benchrec.LowerIsBetter(key+"violations", "count", float64(len(er.Violations))),
+			)
+			violations += len(er.Violations)
 			staticSum += er.StaticFacts
 			observedSum += er.ObservedFacts
 		}
+		ratio := 0.0
 		if observedSum > 0 {
-			rec.Ratio = float64(staticSum) / float64(observedSum)
+			ratio = float64(staticSum) / float64(observedSum)
 		}
-		out.Modes = append(out.Modes, rec)
+		rec.Add(
+			benchrec.LowerIsBetter(mode.String()+"/ratio", "ratio", ratio).WithSlack(0.05),
+			// Any fact the oracle observes outside the solution is unsound.
+			benchrec.LowerIsBetter(mode.String()+"/violations", "count", float64(violations)).WithLimit(0),
+			benchrec.LowerIsBetter(mode.String()+"/analysisMs", "ms", ms(batch.Stats.TotalWork())),
+		)
+		rec.Add(perApp...)
 	}
 
 	// Stressor: the acceptance shape from DESIGN.md — every context-sensitive
-	// mode must collapse the shared helper's merged solution.
-	const stressN = 8
+	// mode must collapse the shared helper's merged solution, so each
+	// removes at least one fact the insensitive solution holds.
 	sources, layouts := corpus.PolymorphicHelperApp(stressN)
 	facts := map[gator.CtxMode]int{}
-	for _, mode := range []gator.CtxMode{gator.CtxOff, gator.Ctx1CFA, gator.Ctx1Obj} {
+	for _, mode := range modes {
 		app, err := gator.Load(sources, layouts)
 		if err != nil {
-			return fmt.Errorf("precjson: stressor: %v", err)
+			return nil, fmt.Errorf("stressor: %v", err)
 		}
 		res := app.Analyze(gator.Options{ContextSensitivity: mode})
 		facts[mode] = len(res.ProjectedFacts())
+		rec.Add(benchrec.LowerIsBetter("stressor/"+mode.String()+"/facts", "count", float64(facts[mode])))
 	}
-	out.Stressor = precStressor{
-		App:              fmt.Sprintf("polyhelper-%d", stressN),
-		InsensitiveFacts: facts[gator.CtxOff],
-		CfaFacts:         facts[gator.Ctx1CFA],
-		ObjFacts:         facts[gator.Ctx1Obj],
-		Strict: facts[gator.Ctx1CFA] < facts[gator.CtxOff] &&
-			facts[gator.Ctx1Obj] < facts[gator.CtxOff],
+	for _, mode := range modes[1:] {
+		removed := facts[gator.CtxOff] - facts[mode]
+		rec.Add(benchrec.HigherIsBetter("stressor/"+mode.String()+"/factsRemoved", "count", float64(removed)).WithLimit(1))
 	}
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return rec, nil
 }

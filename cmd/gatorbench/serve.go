@@ -1,17 +1,17 @@
 package main
 
-// The -servejson benchmark (BENCH_5.json): the serving layer's cost, as a
-// client sees it over real loopback HTTP. Two quantities are recorded:
+// The server benchmark record (BENCH_5.json): the serving layer's cost, as
+// a client sees it over real loopback HTTP. Two quantities are recorded:
 //
 //   - cold request latency percentiles: every request carries a distinct
 //     application, so each one pays upload + parse + solve + render;
 //   - the session speedup: the same alternating single-file edit sequence
-//     the incremental benchmark (-incjson) uses, once as stateless
+//     the incremental record (BENCH_4.json) uses, once as stateless
 //     /v1/analyze submissions (re-upload + scratch solve per edit) and once
 //     as PATCHes to a warm session. The ratio is what sessions exist to
-//     buy; the nightly benchdiff gate fails when it drops below 3x (lower
-//     than the library-level 5x floor because both sides carry HTTP and
-//     JSON overhead, which the warm path cannot amortize away).
+//     buy; its gate is a 3x floor (lower than the library-level 5x floor
+//     because both sides carry HTTP and JSON overhead, which the warm path
+//     cannot amortize away).
 //
 // Ratios are same-process, same-machine, so they are stable across runner
 // hardware in a way absolute milliseconds are not; the percentiles are
@@ -19,42 +19,27 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
+	"gator/internal/benchrec"
 	"gator/internal/corpus"
 	"gator/internal/server"
 )
 
-// serveBenchOutput is the -servejson file shape. ColdP50Ms > 0 is what
-// cmd/benchdiff uses to detect this record shape.
-type serveBenchOutput struct {
-	GeneratedAt string  `json:"generatedAt"`
-	Workers     int     `json:"workers"`
-	Requests    int     `json:"requests"`
-	ColdP50Ms   float64 `json:"coldP50Ms"`
-	ColdP99Ms   float64 `json:"coldP99Ms"`
-	App         string  `json:"app"`
-	Edits       int     `json:"edits"`
-	StatelessMs float64 `json:"statelessMs"`
-	SessionMs   float64 `json:"sessionMs"`
-	Speedup     float64 `json:"speedup"`
-}
-
-func writeServeJSON(path string, workers int) error {
-	srv, err := server.New(server.Config{Workers: workers})
+func serveRecord(run benchRun) (*benchrec.Record, error) {
+	srv, err := server.New(server.Config{Workers: run.jobs})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	serveDone := make(chan struct{})
@@ -81,7 +66,7 @@ func writeServeJSON(path string, workers int) error {
 			Layouts:    layouts,
 			ReportSpec: server.ReportSpec{Report: "views"},
 		}); err != nil {
-			return fmt.Errorf("servejson: cold request %d: %w", i, err)
+			return nil, fmt.Errorf("cold request %d: %w", i, err)
 		}
 		lats = append(lats, time.Since(start))
 	}
@@ -93,14 +78,14 @@ func writeServeJSON(path string, workers int) error {
 	// Both sides render the cheap "summary" report so the comparison
 	// isolates what sessions change — upload + solve — rather than report
 	// rendering, which is identical work on either path.
-	const nActs = 30 // keep in sync with writeIncrementalJSON
+	const nActs = 30 // keep in sync with incrementalRecord
 	const edits = 20
 	sources, layouts := corpus.ModularApp(nActs)
 	base := sources["act1.alite"]
 	va := strings.Replace(base, "\t\tthis.stash = back;\n", "\t\tthis.stash = btn;\n", 1)
 	vb := strings.Replace(base, "\t\tthis.stash = back;\n", "\t\tthis.stash = p;\n", 1)
 	if va == base || vb == base {
-		return fmt.Errorf("servejson: edit variants did not apply to act1.alite")
+		return nil, fmt.Errorf("edit variants did not apply to act1.alite")
 	}
 	variant := func(i int) string {
 		if i%2 == 0 {
@@ -121,7 +106,7 @@ func writeServeJSON(path string, workers int) error {
 			ReportSpec: server.ReportSpec{Report: "summary"},
 			NoCache:    true,
 		}); err != nil {
-			return fmt.Errorf("servejson: stateless edit %d: %w", i, err)
+			return nil, fmt.Errorf("stateless edit %d: %w", i, err)
 		}
 		if d := time.Since(start); d < stateless {
 			stateless = d
@@ -135,7 +120,7 @@ func writeServeJSON(path string, workers int) error {
 		ReportSpec: server.ReportSpec{Report: "summary"},
 	})
 	if err != nil {
-		return fmt.Errorf("servejson: open session: %w", err)
+		return nil, fmt.Errorf("open session: %w", err)
 	}
 	warm := time.Duration(1<<63 - 1)
 	for i := 0; i < edits; i++ {
@@ -145,31 +130,28 @@ func writeServeJSON(path string, workers int) error {
 			ReportSpec: server.ReportSpec{Report: "summary"},
 		})
 		if err != nil {
-			return fmt.Errorf("servejson: session edit %d: %w", i, err)
+			return nil, fmt.Errorf("session edit %d: %w", i, err)
 		}
 		if resp.Incremental == nil || resp.Incremental.Mode != "warm" {
-			return fmt.Errorf("servejson: edit %d fell off the warm path: %+v", i, resp.Incremental)
+			return nil, fmt.Errorf("edit %d fell off the warm path: %+v", i, resp.Incremental)
 		}
 		if d := time.Since(start); d < warm {
 			warm = d
 		}
 	}
 
-	out := serveBenchOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Workers:     workers,
-		Requests:    coldReqs,
-		ColdP50Ms:   ms(p50),
-		ColdP99Ms:   ms(p99),
-		App:         fmt.Sprintf("modular-%d", nActs),
-		Edits:       edits,
-		StatelessMs: ms(stateless),
-		SessionMs:   ms(warm),
-		Speedup:     float64(stateless) / float64(warm),
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	rec := &benchrec.Record{Context: map[string]string{
+		"workers":  strconv.Itoa(run.jobs),
+		"requests": strconv.Itoa(coldReqs),
+		"app":      fmt.Sprintf("modular-%d", nActs),
+		"edits":    strconv.Itoa(edits),
+	}}
+	rec.Add(
+		benchrec.LowerIsBetter("coldP50Ms", "ms", ms(p50)),
+		benchrec.LowerIsBetter("coldP99Ms", "ms", ms(p99)),
+		benchrec.LowerIsBetter("statelessMs", "ms", ms(stateless)),
+		benchrec.LowerIsBetter("sessionMs", "ms", ms(warm)),
+		benchrec.HigherIsBetter("sessionSpeedup", "x", float64(stateless)/float64(warm)).WithSlack(0.15).WithLimit(3),
+	)
+	return rec, nil
 }

@@ -1,6 +1,6 @@
 package main
 
-// The -solvejson benchmark (BENCH_6.json): the solver hot-path campaign's
+// The solver benchmark record (BENCH_6.json): the solver hot-path campaign's
 // recorded numbers. Part one solves a 501-unit chain-shaped application —
 // one outer fixpoint iteration per findViewById chain stage, ~26 in all, so
 // the delta operation worklist and the CSR propagation arrays actually pay
@@ -14,14 +14,14 @@ package main
 // engines and would only dilute the ratio.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
 	"gator"
+	"gator/internal/benchrec"
 	"gator/internal/corpus"
 	"gator/internal/trace"
 )
@@ -29,29 +29,6 @@ import (
 // solveBenchRuns is the per-configuration repetition count; the minimum is
 // reported (minimum, not mean, to shed scheduler noise on shared runners).
 const solveBenchRuns = 3
-
-// solveBenchOutput is the -solvejson file shape.
-type solveBenchOutput struct {
-	GeneratedAt string `json:"generatedAt"`
-	Cores       int    `json:"cores"`
-
-	// Engine comparison on the chain-shaped app.
-	App        string  `json:"app"`
-	Units      int     `json:"units"`
-	Iterations int     `json:"iterations"`
-	RefMs      float64 `json:"refMs"`
-	OptMs      float64 `json:"optMs"`
-	// OptSpeedup is the campaign headline: reference schedule vs the
-	// CSR+delta engine, same machine, same solution.
-	OptSpeedup float64 `json:"optSpeedup"`
-
-	// Incremental warm-vs-cold on a >64-unit app.
-	IncApp     string  `json:"incApp"`
-	IncUnits   int     `json:"incUnits"`
-	IncColdMs  float64 `json:"incColdMs"`
-	IncWarmMs  float64 `json:"incWarmMs"`
-	IncSpeedup float64 `json:"incSpeedup"`
-}
 
 // solvePhaseMs extracts the "solve" phase duration from collected events.
 func solvePhaseMs(events []trace.Event) (float64, error) {
@@ -70,7 +47,7 @@ func solvePhaseMs(events []trace.Event) (float64, error) {
 			}
 		}
 	}
-	return 0, fmt.Errorf("solvejson: no solve phase in trace")
+	return 0, fmt.Errorf("no solve phase in trace")
 }
 
 // timeSolve loads the app fresh and returns the solve-phase time and
@@ -98,52 +75,55 @@ func timeSolve(sources, layouts map[string]string, opts gator.Options) (float64,
 	return best, iters, nil
 }
 
-func writeSolveJSON(path string) error {
+// solveRecord gates both same-machine ratios by hard floors only: each
+// divides two separately measured solve times, so its run-to-run noise is
+// the sum of both sides' and routinely exceeds 15% on busy single-core
+// runners without any code change.
+func solveRecord(benchRun) (*benchrec.Record, error) {
 	const nAct, depth = 250, 24
 	sources, layouts := corpus.ModularChainApp(nAct, depth)
-
-	out := solveBenchOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Cores:       runtime.NumCPU(),
-		App:         fmt.Sprintf("modular-chain-%dx%d", nAct, depth),
-		Units:       len(sources) + len(layouts),
-	}
-
-	var err error
-	if out.RefMs, out.Iterations, err = timeSolve(sources, layouts, gator.Options{ReferenceSolver: true}); err != nil {
-		return err
-	}
-	if out.OptMs, _, err = timeSolve(sources, layouts, gator.Options{}); err != nil {
-		return err
-	}
-	out.OptSpeedup = out.RefMs / out.OptMs
-
-	if err := solveBenchIncremental(&out); err != nil {
-		return err
-	}
-
-	data, err := json.MarshalIndent(out, "", "  ")
+	refMs, iters, err := timeSolve(sources, layouts, gator.Options{ReferenceSolver: true})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	optMs, _, err := timeSolve(sources, layouts, gator.Options{})
+	if err != nil {
+		return nil, err
+	}
+	rec := &benchrec.Record{Context: map[string]string{
+		"cores": strconv.Itoa(runtime.NumCPU()),
+		"app":   fmt.Sprintf("modular-chain-%dx%d", nAct, depth),
+		"units": strconv.Itoa(len(sources) + len(layouts)),
+	}}
+	rec.Add(
+		benchrec.LowerIsBetter("iterations", "count", float64(iters)),
+		benchrec.LowerIsBetter("refMs", "ms", refMs),
+		benchrec.LowerIsBetter("optMs", "ms", optMs),
+		// The campaign headline: reference schedule vs the CSR+delta
+		// engine, same machine, same solution.
+		benchrec.HigherIsBetter("optSpeedup", "x", refMs/optMs).WithLimit(2),
+	)
+	if err := solveBenchIncremental(rec); err != nil {
+		return nil, err
+	}
+	return rec, nil
 }
 
 // solveBenchIncremental measures a single-file body edit on a 502-unit
 // modular app: warm AnalyzeIncremental vs cold Load+Analyze. The former
 // 64-unit budget forced exactly this shape to scratch; the paged bitsets
 // make it warm.
-func solveBenchIncremental(out *solveBenchOutput) error {
+func solveBenchIncremental(rec *benchrec.Record) error {
 	const nActs = 250
 	sources, layouts := corpus.ModularApp(nActs)
-	out.IncApp = fmt.Sprintf("modular-%d", nActs)
-	out.IncUnits = len(sources) + len(layouts)
+	rec.Context["incApp"] = fmt.Sprintf("modular-%d", nActs)
+	rec.Context["incUnits"] = strconv.Itoa(len(sources) + len(layouts))
 
 	base := sources["act1.alite"]
 	va := strings.Replace(base, "\t\tthis.stash = back;\n", "\t\tthis.stash = btn;\n", 1)
 	vb := strings.Replace(base, "\t\tthis.stash = back;\n", "\t\tthis.stash = p;\n", 1)
 	if va == base || vb == base {
-		return fmt.Errorf("solvejson: edit variants did not apply to act1.alite")
+		return fmt.Errorf("edit variants did not apply to act1.alite")
 	}
 	edit := func(i int) {
 		if i%2 == 0 {
@@ -183,7 +163,7 @@ func solveBenchIncremental(out *solveBenchOutput) error {
 		}
 		d := ms(time.Since(start))
 		if st := res.Incremental(); st.Mode != "warm" {
-			return fmt.Errorf("solvejson: edit %d fell back to %q (%s)", i, st.Mode, st.Reason)
+			return fmt.Errorf("edit %d fell back to %q (%s)", i, st.Mode, st.Reason)
 		}
 		if i == 0 || d < warm {
 			warm = d
@@ -191,8 +171,11 @@ func solveBenchIncremental(out *solveBenchOutput) error {
 		prev = res
 	}
 
-	out.IncColdMs = cold
-	out.IncWarmMs = warm
-	out.IncSpeedup = cold / warm
+	rec.Add(
+		benchrec.LowerIsBetter("incColdMs", "ms", cold),
+		benchrec.LowerIsBetter("incWarmMs", "ms", warm),
+		// The same 5x floor as the incremental record (BENCH_4.json).
+		benchrec.HigherIsBetter("incSpeedup", "x", cold/warm).WithLimit(5),
+	)
 	return nil
 }

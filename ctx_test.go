@@ -10,12 +10,12 @@ package gator
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 
+	"gator/internal/benchrec"
 	"gator/internal/corpus"
 )
 
@@ -145,37 +145,29 @@ func TestCtxIncrementalFallback(t *testing.T) {
 // checked-in BENCH_7.json record: regenerate the block between the markers
 // from the record (same rendering as below), or this fails. The gated
 // quantities are deterministic fact-count ratios, so a fresh
-// `gatorbench -precjson` run reproduces them bit-for-bit.
+// `gatorbench -records` run reproduces them bit-for-bit.
 func TestReadmePrecisionTable(t *testing.T) {
-	var rec struct {
-		Modes []struct {
-			Mode       string  `json:"mode"`
-			Ratio      float64 `json:"ratio"`
-			Violations int     `json:"violations"`
-		} `json:"modes"`
-		Stressor struct {
-			InsensitiveFacts int `json:"insensitiveFacts"`
-			CfaFacts         int `json:"cfaFacts"`
-			ObjFacts         int `json:"objFacts"`
-		} `json:"stressor"`
-	}
-	data, err := os.ReadFile("BENCH_7.json")
+	rec, err := benchrec.Read("BENCH_7.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
+	value := map[string]float64{}
+	for _, m := range rec.Metrics {
+		value[m.Name] = m.Value
 	}
-	stressFacts := map[string]int{
-		"off":  rec.Stressor.InsensitiveFacts,
-		"1cfa": rec.Stressor.CfaFacts,
-		"1obj": rec.Stressor.ObjFacts,
+	metric := func(name string) float64 {
+		v, ok := value[name]
+		if !ok {
+			t.Fatalf("BENCH_7.json: no metric %q", name)
+		}
+		return v
 	}
 	var b strings.Builder
 	b.WriteString("| Mode | Corpus ratio (static/observed) | Violations | `polyhelper-8` facts |\n")
 	b.WriteString("|---|---|---|---|\n")
-	for _, m := range rec.Modes {
-		fmt.Fprintf(&b, "| `%s` | %.3f | %d | %d |\n", m.Mode, m.Ratio, m.Violations, stressFacts[m.Mode])
+	for _, mode := range []string{"off", "1cfa", "1obj"} {
+		fmt.Fprintf(&b, "| `%s` | %.3f | %d | %d |\n", mode, metric(mode+"/ratio"),
+			int(metric(mode+"/violations")), int(metric("stressor/"+mode+"/facts")))
 	}
 
 	readme, err := os.ReadFile("README.md")

@@ -56,7 +56,7 @@ func BenchmarkIncrementalEdit(bm *testing.B) {
 
 // BenchmarkIncrementalLarge is BenchmarkIncrementalEdit at 250 activities
 // (502 compilation units): the shape the former 64-unit dependency-tracking
-// budget forced to scratch on every edit. gatorbench -solvejson records the
+// budget forced to scratch on every edit. gatorbench -records writes the
 // warm-vs-cold ratio for this size into BENCH_6.json.
 func BenchmarkIncrementalLarge(bm *testing.B) {
 	sources, layouts := corpus.ModularApp(250)

@@ -8,7 +8,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gator/internal/metrics"
 	"gator/internal/server"
@@ -439,4 +442,66 @@ func TestProxyUnknownRoute(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("error content type %q", ct)
 	}
+}
+
+// The proxy must forward concurrently: four fake replicas each hold their
+// request until four are in flight at once, so a proxy that serialises
+// forwarding (say, by holding its lock across the round trip) never gets
+// past the first and every request times out.
+func TestProxyForwardsConcurrently(t *testing.T) {
+	const n = 4
+	var inFlight atomic.Int32
+	allIn := make(chan struct{})
+	p := New(Config{})
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("r%d", i)
+		fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if inFlight.Add(1) == n {
+				close(allIn)
+			}
+			select {
+			case <-allIn:
+				w.Header().Set(server.ReplicaHeader, name)
+				w.Header().Set("Content-Type", "application/json")
+				io.WriteString(w, `{}`)
+			case <-time.After(5 * time.Second):
+				http.Error(w, "fewer than four forwards in flight at once", http.StatusGatewayTimeout)
+			}
+		}))
+		t.Cleanup(fake.Close)
+		p.AddReplica(name, fake.URL)
+	}
+	front := httptest.NewServer(p.Handler())
+	t.Cleanup(front.Close)
+
+	// One app per replica, so the requests also exercise the ring's spread.
+	appFor := map[string]string{}
+	for i := 0; len(appFor) < n; i++ {
+		app := fmt.Sprintf("app-%d", i)
+		owner, _ := p.OwnerOf(app)
+		if _, ok := appFor[owner]; !ok {
+			appFor[owner] = app
+		}
+	}
+	var wg sync.WaitGroup
+	for owner, app := range appFor {
+		wg.Add(1)
+		go func(owner, app string) {
+			defer wg.Done()
+			resp, err := http.Post(front.URL+"/v1/analyze", "application/json",
+				strings.NewReader(`{"name":"`+app+`"}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: status %d: %s", app, resp.StatusCode, body)
+			} else if got := resp.Header.Get(server.ReplicaHeader); got != owner {
+				t.Errorf("%s: served by %s, ring owner is %s", app, got, owner)
+			}
+		}(owner, app)
+	}
+	wg.Wait()
 }

@@ -153,8 +153,10 @@ func TestRingRemoveRestoresMapping(t *testing.T) {
 }
 
 // Shares stay roughly balanced: with DefaultVnodes no replica of four may
-// own more than half the keys (the throughput benchmark's scaling floor
-// assumes the spread is no worse than this).
+// own more than half the keys, so adding replicas spreads independent apps
+// instead of piling them onto one node. TestProxyForwardsConcurrently
+// holds the other half of cluster scaling: the proxy forwards to those
+// replicas in parallel.
 func TestRingBalance(t *testing.T) {
 	r := ringWith(0, "r1", "r2", "r3", "r4")
 	counts := map[string]int{}

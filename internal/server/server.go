@@ -71,7 +71,7 @@ type Config struct {
 	TraceRingBytes   int64
 	// NoTelemetry turns the request telemetry layer off — no middleware,
 	// no span propagation, no per-request metrics or logs. The overhead
-	// benchmark (gatorbench -obsjson) serves this as its baseline.
+	// benchmark (BENCH_8.json) serves this as its baseline.
 	NoTelemetry bool
 	// ReplicaID, when set, names this daemon as one replica of a cluster:
 	// every response carries it in an X-Gator-Replica header so clients
@@ -82,13 +82,6 @@ type Config struct {
 	// miss and written through on every cacheable solve — one replica's
 	// solve becomes every replica's replay. Implementations fail open.
 	Shared cache.SharedStore
-	// ServiceDelay, when positive, sleeps each analysis job for this long
-	// before solving. It is a benchmark-only knob: the cluster throughput
-	// benchmark (gatorbench -clusterjson) uses it to model a fixed remote
-	// service time so replica scaling is measurable — and reproducible —
-	// on any core count, including single-core CI runners. Production
-	// configs leave it zero.
-	ServiceDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -538,14 +531,6 @@ func (s *Server) cachePut(key string, rd rendered) {
 	}
 }
 
-// serviceDelay models a fixed per-job service time; see
-// Config.ServiceDelay. A no-op outside the cluster benchmark.
-func (s *Server) serviceDelay() {
-	if s.cfg.ServiceDelay > 0 {
-		time.Sleep(s.cfg.ServiceDelay)
-	}
-}
-
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.reg.Add("server.analyze.requests", 1)
 	var req AnalyzeRequest
@@ -584,7 +569,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var rd rendered
 	err := s.jobs.do(r.Context(), func() {
-		s.serviceDelay()
 		loadStart := time.Now()
 		app, err := gator.LoadCached(req.Sources, req.Layouts, s.appCache)
 		if err != nil {
@@ -653,7 +637,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var rd rendered
 	var incr gator.IncrementalStats
 	err := s.jobs.do(r.Context(), func() {
-		s.serviceDelay()
 		solveOpts := sess.opts
 		solveOpts.Trace = scope
 		solveStart := time.Now()
@@ -748,7 +731,6 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	var patchErr error
 	start := time.Now()
 	err := s.jobs.do(r.Context(), func() {
-		s.serviceDelay()
 		// The per-session lock serializes concurrent patches: the second
 		// waits for the first instead of tripping over a consumed result.
 		sess.mu.Lock()

@@ -938,19 +938,3 @@ func TestSharedStoreTier(t *testing.T) {
 		t.Fatalf("shared_hits = %d, want 1", snap.Counters["server.cache.shared_hits"])
 	}
 }
-
-// ServiceDelay must stretch a job by at least the configured time — the
-// cluster benchmark's scaling floor depends on it being a real floor.
-func TestServiceDelay(t *testing.T) {
-	_, c := newTestServer(t, Config{ServiceDelay: 30 * time.Millisecond})
-	start := time.Now()
-	if _, err := c.Analyze(AnalyzeRequest{
-		Sources: map[string]string{"a.alite": "class A {}"},
-		NoCache: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Fatalf("analyze with 30ms ServiceDelay finished in %v", elapsed)
-	}
-}

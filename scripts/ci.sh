@@ -45,14 +45,11 @@
 #                      corpus app: the context-sensitive solver stays sound
 #                      against the oracle (the command exits nonzero on any
 #                      soundness violation) and stays wired into the CLI
-#  11. gatorbench    — regenerate BENCH_2.json, BENCH_4.json, BENCH_5.json,
-#                      BENCH_6.json, BENCH_7.json, BENCH_8.json,
-#                      BENCH_9.json, and BENCH_10.json (skipped with -short);
-#                      scripts/benchdiff.sh diffs regenerated records against
-#                      the checked-in ones without overwriting them.
-#                      BENCH_10.json is the lifecycle-checker recall record:
-#                      per-checker recall over synthesized ordering-bug
-#                      scenarios plus clean-twin false-positive counts
+#  11. benchdiff     — scripts/benchdiff.sh regenerates every benchmark
+#                      record into a temporary directory and diffs it
+#                      against the checked-in BENCH_*.json baselines, each
+#                      metric under its own gate (skipped with -short; the
+#                      baselines themselves are never rewritten here)
 #  12. cluster smoke — `gatorproxy -smoke` boots a real 2-replica cluster on
 #                      loopback (two in-process gatord replicas behind the
 #                      routing proxy), byte-compares cold and warm-session
@@ -134,10 +131,8 @@ echo "== context-sensitivity precision smoke (TippyTipper, 1cfa)"
 go run ./cmd/gatorbench -table precision -app TippyTipper -ctx 1cfa > /dev/null
 
 if [ -z "$SHORT" ]; then
-    echo "== gatorbench BENCH_2.json + BENCH_4.json + BENCH_5.json + BENCH_6.json + BENCH_7.json + BENCH_8.json + BENCH_9.json + BENCH_10.json"
-    go run ./cmd/gatorbench -benchjson BENCH_2.json -incjson BENCH_4.json -servejson BENCH_5.json \
-        -solvejson BENCH_6.json -precjson BENCH_7.json -obsjson BENCH_8.json \
-        -clusterjson BENCH_9.json -lifejson BENCH_10.json > /dev/null
+    echo "== benchmark records vs checked-in baselines"
+    scripts/benchdiff.sh
 fi
 
 echo "== gatorproxy cluster smoke (examples/buggyapp, 2 replicas)"
