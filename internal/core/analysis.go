@@ -226,22 +226,34 @@ func (r *Result) PointsTo(n graph.Node) []graph.Value {
 // VarPointsTo returns the abstract values of an IR variable, projected
 // across cloning contexts: the union, in first-encounter order, over every
 // context variant of the variable's node. Context-insensitive runs have a
-// single variant, so this is the plain lookup.
+// single variant, so this is the plain lookup. It never interns a node: a
+// variable the build never materialized holds nothing.
 func (r *Result) VarPointsTo(v *ir.Var) []graph.Value {
-	if len(r.Graph.VarContextClones(v)) == 0 {
+	base := r.Graph.LookupVarNode(v, 0)
+	clones := r.Graph.VarContextClones(v)
+	if len(clones) == 0 {
 		// Never cloned (always, context-insensitively): plain lookup, no
 		// projection slice to build.
-		return r.PointsTo(r.Graph.VarNode(v))
+		if base == nil {
+			return nil
+		}
+		return r.PointsTo(base)
 	}
 	var out []graph.Value
 	seen := map[graph.Value]bool{}
-	for _, n := range r.Graph.ContextVarNodes(v) {
+	add := func(n *graph.VarNode) {
 		for _, val := range r.PointsTo(n) {
 			if !seen[val] {
 				seen[val] = true
 				out = append(out, val)
 			}
 		}
+	}
+	if base != nil {
+		add(base)
+	}
+	for _, n := range clones {
+		add(n)
 	}
 	return out
 }
