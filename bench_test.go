@@ -12,6 +12,8 @@ package gator
 //   - BenchmarkCaseStudy/<app> — the Section 5 case study: dynamic
 //     exploration plus oracle comparison.
 //   - BenchmarkAblation* — the design-choice ablations listed in DESIGN.md.
+//   - BenchmarkCheckReport — the checker layer alone (Section 6's static
+//     error checking) over the solved corpus.
 //
 // Regenerate the actual tables with: go run ./cmd/gatorbench -table all
 
@@ -176,6 +178,29 @@ func BenchmarkBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(j), "workers")
 		})
+	}
+}
+
+// BenchmarkCheckReport measures the diagnostics engine alone: the 20 corpus
+// apps are analyzed once, outside the timer, and each op runs every checker
+// over all of them.
+func BenchmarkCheckReport(b *testing.B) {
+	var results []*Result
+	for _, app := range corpus.GenerateAll() {
+		loaded, err := Load(app.BatchSources(), app.LayoutXML())
+		if err != nil {
+			b.Fatal(err)
+		}
+		results = append(results, loaded.Analyze(Options{}))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, res := range results {
+			if _, err := res.CheckReport(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

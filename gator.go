@@ -384,7 +384,7 @@ func (r *Result) EventTuples() []EventTuple {
 		default:
 			return
 		}
-		for _, w := range descendantsIncl(g, root) {
+		for _, w := range g.Descendants(root) {
 			viewOwners[w] = append(viewOwners[w], ownerName)
 		}
 	})
@@ -414,7 +414,7 @@ func (r *Result) EventTuples() []EventTuple {
 		if op.Event == "" || op.Recv == nil || len(op.Args) == 0 {
 			continue
 		}
-		spec, ok := listenerSpec(op.Event)
+		spec, ok := platform.ListenerByEvent(op.Event)
 		if !ok {
 			continue
 		}
@@ -427,8 +427,8 @@ func (r *Result) EventTuples() []EventTuple {
 				if lstClass == nil {
 					continue
 				}
-				for _, h := range spec {
-					m := lstClass.Dispatch(h)
+				for _, h := range spec.Handlers {
+					m := lstClass.Dispatch(ir.HandlerKey(h))
 					if m != nil && m.Body != nil {
 						add(view, op.Event, m.QualifiedName())
 					}
@@ -911,42 +911,4 @@ func classOf(v graph.Value) *ir.Class {
 		return v.Class
 	}
 	return nil
-}
-
-func descendantsIncl(g *graph.Graph, root graph.Value) []graph.Value {
-	seen := map[int]bool{}
-	queue := []graph.Value{root}
-	var out []graph.Value
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if seen[v.ID()] {
-			continue
-		}
-		seen[v.ID()] = true
-		out = append(out, v)
-		queue = append(queue, g.Children(v)...)
-	}
-	return out
-}
-
-// listenerSpec returns the handler signature keys for an event.
-func listenerSpec(event string) ([]string, bool) {
-	spec, ok := platform.ListenerByEvent(event)
-	if !ok {
-		return nil, false
-	}
-	var keys []string
-	for _, h := range spec.Handlers {
-		types := make([]alite.Type, len(h.Params))
-		for i, pn := range h.Params {
-			if pn == "int" {
-				types[i] = alite.Type{Prim: alite.TypeInt}
-			} else {
-				types[i] = alite.Type{Name: pn}
-			}
-		}
-		keys = append(keys, ir.MethodKey(h.Name, types))
-	}
-	return keys, true
 }

@@ -19,6 +19,7 @@ import (
 	"gator/internal/alite"
 	"gator/internal/core"
 	"gator/internal/graph"
+	"gator/internal/ir"
 	"gator/internal/platform"
 )
 
@@ -378,7 +379,7 @@ func checkUnfiredHandler(res *core.Result) []Finding {
 		}
 		for _, spec := range specs {
 			for _, h := range spec.Handlers {
-				m := c.Methods[handlerKeyOf(h)]
+				m := c.Methods[ir.HandlerKey(h)]
 				if m == nil || m.Body == nil || len(m.Params) == 0 {
 					continue
 				}
@@ -409,7 +410,7 @@ func checkInvisibleListenerView(res *core.Result) []Finding {
 	// Collect everything reachable from some owner's content roots.
 	visible := map[int]bool{}
 	res.Graph.RootPairs(func(owner, root graph.Value) {
-		for _, w := range descendants(res.Graph, root) {
+		for _, w := range res.Graph.Descendants(root) {
 			visible[w.ID()] = true
 		}
 	})
@@ -435,7 +436,7 @@ func checkDuplicateID(res *core.Result) []Finding {
 	var out []Finding
 	res.Graph.RootPairs(func(owner, root graph.Value) {
 		byID := map[int][]graph.Value{}
-		for _, w := range descendants(res.Graph, root) {
+		for _, w := range res.Graph.Descendants(root) {
 			for _, id := range res.Graph.ViewIDsOf(w) {
 				byID[id.ID()] = append(byID[id.ID()], w)
 			}
@@ -583,35 +584,6 @@ func ownerName(owner graph.Value) string {
 		return "dialog " + o.Class.Name
 	}
 	return owner.String()
-}
-
-func descendants(g *graph.Graph, root graph.Value) []graph.Value {
-	seen := map[int]bool{}
-	queue := []graph.Value{root}
-	var out []graph.Value
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if seen[v.ID()] {
-			continue
-		}
-		seen[v.ID()] = true
-		out = append(out, v)
-		queue = append(queue, g.Children(v)...)
-	}
-	return out
-}
-
-func handlerKeyOf(h platform.HandlerSig) string {
-	kinds := make([]byte, len(h.Params))
-	for i, p := range h.Params {
-		if p == "int" {
-			kinds[i] = 'I'
-		} else {
-			kinds[i] = 'R'
-		}
-	}
-	return h.Name + "(" + string(kinds) + ")"
 }
 
 func dedup(fs []Finding) []Finding {

@@ -3,7 +3,6 @@ package checks
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"gator/internal/cfg"
 	"gator/internal/core"
@@ -17,8 +16,10 @@ import (
 
 // Context carries the solved reference analysis plus lazily built
 // flow-sensitive artifacts shared across passes: per-method CFGs, nullness
-// solutions, and the site → operation index. One Context serves one app;
-// passes must not mutate it beyond the memoization the accessors perform.
+// and reaching-definitions solutions, definition indexes, and the site →
+// operation index. Graph and IR queries go to the graph and the program
+// themselves. One Context serves one app; passes must not mutate it beyond
+// the memoization the accessors perform.
 type Context struct {
 	Res *core.Result
 
@@ -34,13 +35,9 @@ type Context struct {
 	indexed  bool
 
 	// Program-point flowsTo machinery (flowsto.go).
-	reach         map[*ir.Method]*dataflow.ReachingDefs
-	allocsAt      map[*ir.New][]graph.Value
-	fieldNodes    map[*ir.Field]*graph.FieldNode
-	viewIDByRes   map[int]graph.Value
-	layoutIDByRes map[int]graph.Value
-	classNodes    map[*ir.Class]graph.Value
-	valIndexed    bool
+	reach  map[*ir.Method]*dataflow.ReachingDefs
+	allocs map[*ir.New][]graph.Value
+	defs   map[*ir.Method]*defIndex
 
 	// Lifecycle schedule (lifecycle.go), built on first ordering query.
 	sched *lifecycle.Schedule
@@ -148,15 +145,8 @@ func (c *Context) buildIndexes() {
 // untracked field) leaves the solution empty while the runtime value is
 // real.
 func (c *Context) viewHelperCall(s *ir.Invoke) bool {
-	decl := s.Recv.TypeClass
-	if decl == nil {
-		return false
-	}
 	anyCallee, anyFind := false, false
-	for _, cls := range c.Res.Prog.AppClasses() {
-		if cls.IsInterface || !cls.SubtypeOf(decl) {
-			continue
-		}
+	for _, cls := range c.Res.Prog.Implementers(s.Recv.TypeClass) {
 		callee := cls.Dispatch(s.Key)
 		if callee == nil {
 			continue
@@ -183,47 +173,36 @@ func (c *Context) viewHelperCall(s *ir.Invoke) bool {
 // the body (see varModeled). Emptiness of the method's solved result is
 // provable only then.
 func (c *Context) returnsModeled(m *ir.Method) bool {
-	ok := true
 	visited := map[*ir.Var]bool{}
-	ir.WalkStmts(m.Body, func(s ir.Stmt) {
-		ret, isRet := s.(*ir.Return)
-		if !isRet || ret.Src == nil {
-			return
+	for _, v := range c.defsOf(m).rets {
+		if !c.varModeled(m, v, visited) {
+			return false
 		}
-		if !c.varModeled(m, ret.Src, visited) {
-			ok = false
-		}
-	})
-	return ok
+	}
+	return true
 }
 
 // varModeled reports whether every definition of v inside m is one the
-// graph models one-to-one (per defValues). Copies recurse into their
-// source: defValues answers ok for a copy regardless of how the source
-// was produced, which is sound for FlowsToAt's shrink-only use but not
-// for proving emptiness. A variable with no definitions holds its entry
-// value — a parameter or receiver binding, which call edges model.
+// graph models one-to-one (per modeled). Copies recurse into their source:
+// modeled holds for a copy regardless of how the source was produced, which
+// is sound for FlowsToAt's shrink-only use but not for proving emptiness. A
+// variable with no definitions holds its entry value — a parameter or
+// receiver binding, which call edges model.
 func (c *Context) varModeled(m *ir.Method, v *ir.Var, visited map[*ir.Var]bool) bool {
 	if visited[v] {
 		return true
 	}
 	visited[v] = true
-	modeled := true
-	ir.WalkStmts(m.Body, func(s ir.Stmt) {
-		if !modeled || ir.Def(s) != v {
-			return
-		}
+	for _, s := range c.defsOf(m).defs[v] {
 		if cp, isCopy := s.(*ir.Copy); isCopy {
 			if !c.varModeled(m, cp.Src, visited) {
-				modeled = false
+				return false
 			}
-			return
+		} else if !c.modeled(s) {
+			return false
 		}
-		if _, ok := c.defValues(s); !ok {
-			modeled = false
-		}
-	})
-	return modeled
+	}
+	return true
 }
 
 func (c *Context) seedForSite(site *ir.Invoke, ops []*graph.OpNode) (dataflow.NullVal, bool) {
@@ -249,11 +228,7 @@ func (c *Context) seedForSite(site *ir.Invoke, ops []*graph.OpNode) (dataflow.Nu
 			}
 			why = fmt.Sprintf("findViewById(%s) at %s can never find a view", joinNames(ids), opPos(op))
 		} else {
-			name := site.Key
-			if i := strings.IndexByte(name, '('); i >= 0 {
-				name = name[:i]
-			}
-			why = fmt.Sprintf("%s at %s can never retrieve a view", name, opPos(op))
+			why = fmt.Sprintf("%s at %s can never retrieve a view", callName(site), opPos(op))
 		}
 		if len(c.Res.OpResults(op)) != 0 {
 			return dataflow.NullVal{}, false

@@ -29,79 +29,98 @@ func (c *Context) Reaching(m *ir.Method) *dataflow.ReachingDefs {
 	return rd
 }
 
-// valueIndex builds the statement → graph-value maps FlowsToAt resolves
-// definitions through, once.
-func (c *Context) valueIndex() {
-	if c.valIndexed {
-		return
-	}
-	c.valIndexed = true
-	c.allocsAt = map[*ir.New][]graph.Value{}
-	c.fieldNodes = map[*ir.Field]*graph.FieldNode{}
-	c.viewIDByRes = map[int]graph.Value{}
-	c.layoutIDByRes = map[int]graph.Value{}
-	c.classNodes = map[*ir.Class]graph.Value{}
-	for _, n := range c.Res.Graph.Nodes() {
-		switch n := n.(type) {
-		case *graph.AllocNode:
+// allocsAt returns the allocation nodes of one allocation site, indexing
+// the graph's allocations once.
+func (c *Context) allocsAt(site *ir.New) []graph.Value {
+	if c.allocs == nil {
+		c.allocs = map[*ir.New][]graph.Value{}
+		for _, n := range c.Res.Graph.Allocs() {
 			if n.Site != nil {
-				c.allocsAt[n.Site] = append(c.allocsAt[n.Site], n)
+				c.allocs[n.Site] = append(c.allocs[n.Site], n)
 			}
-		case *graph.FieldNode:
-			c.fieldNodes[n.Field] = n
-		case *graph.ViewIDNode:
-			c.viewIDByRes[n.ResID] = n
-		case *graph.LayoutIDNode:
-			c.layoutIDByRes[n.ResID] = n
-		case *graph.ClassNode:
-			c.classNodes[n.Class] = n
 		}
 	}
+	return c.allocs[site]
+}
+
+// defIndex is one method body's definitions, each variable's in body order,
+// and its returned variables.
+type defIndex struct {
+	defs map[*ir.Var][]ir.Stmt
+	rets []*ir.Var
+}
+
+// defsOf returns the memoized definition index of a method.
+func (c *Context) defsOf(m *ir.Method) *defIndex {
+	if c.defs == nil {
+		c.defs = map[*ir.Method]*defIndex{}
+	}
+	if idx, ok := c.defs[m]; ok {
+		return idx
+	}
+	idx := &defIndex{defs: map[*ir.Var][]ir.Stmt{}}
+	ir.WalkStmts(m.Body, func(s ir.Stmt) {
+		if v := ir.Def(s); v != nil {
+			idx.defs[v] = append(idx.defs[v], s)
+		}
+		if ret, ok := s.(*ir.Return); ok && ret.Src != nil {
+			idx.rets = append(idx.rets, ret.Src)
+		}
+	})
+	c.defs[m] = idx
+	return idx
+}
+
+// modeled reports whether the constraint graph models one definition
+// one-to-one. An unmodeled call, an allocation of an untracked class or a
+// load of an untracked field is not: the values it writes are invisible to
+// defValues, so callers must fall back to the flow-insensitive solution to
+// stay sound.
+func (c *Context) modeled(d ir.Stmt) bool {
+	switch d := d.(type) {
+	case *ir.ConstNull, *ir.ConstInt, *ir.ConstRes, *ir.ConstClass, *ir.Copy:
+		return true
+	case *ir.New:
+		return len(c.allocsAt(d)) > 0
+	case *ir.Load:
+		return c.Res.Graph.LookupFieldNode(d.Field) != nil
+	case *ir.Invoke:
+		return len(c.OpsAt(d)) > 0
+	}
+	return false
 }
 
 // defValues returns the values one definition can write into its variable,
-// or ok=false when the constraint graph does not model the definition
-// one-to-one (an unmodeled call, an allocation of an untracked class):
-// callers must then fall back to the flow-insensitive solution to stay
-// sound.
+// or ok=false when the definition is not modeled.
 func (c *Context) defValues(d ir.Stmt) (vals []graph.Value, ok bool) {
-	c.valueIndex()
+	if !c.modeled(d) {
+		return nil, false
+	}
+	g := c.Res.Graph
 	switch d := d.(type) {
-	case *ir.ConstNull, *ir.ConstInt:
-		return nil, true // no object flows
 	case *ir.New:
-		vals := c.allocsAt[d]
-		return vals, len(vals) > 0
+		return c.allocsAt(d), true
 	case *ir.ConstRes:
-		byRes := c.viewIDByRes
+		// An id constant never interned was consumed by no operation.
 		if d.Layout {
-			byRes = c.layoutIDByRes
-		}
-		if n, found := byRes[d.ID]; found {
+			if n := g.LookupLayoutIDNode(d.ID); n != nil {
+				return []graph.Value{n}, true
+			}
+		} else if n := g.LookupViewIDNode(d.ID); n != nil {
 			return []graph.Value{n}, true
 		}
-		return nil, true // id constant never interned: no op consumed it
 	case *ir.ConstClass:
-		if n, found := c.classNodes[d.Class]; found {
+		if n := g.LookupClassNode(d.Class); n != nil {
 			return []graph.Value{n}, true
 		}
-		return nil, true
 	case *ir.Copy:
 		return c.Res.VarPointsTo(d.Src), true
 	case *ir.Load:
-		fn := c.fieldNodes[d.Field]
-		if fn == nil {
-			return nil, false // untracked field
-		}
-		return c.Res.PointsTo(fn), true
+		return c.Res.PointsTo(g.LookupFieldNode(d.Field)), true
 	case *ir.Invoke:
-		ops := c.OpsAt(d)
-		if len(ops) == 0 {
-			return nil, false // unmodeled call result
-		}
 		var out []graph.Value
 		seen := map[graph.Value]bool{}
-		for _, op := range ops {
+		for _, op := range c.OpsAt(d) {
 			for _, v := range c.opProduces(op) {
 				if !seen[v] {
 					seen[v] = true
@@ -111,7 +130,7 @@ func (c *Context) defValues(d ir.Stmt) (vals []graph.Value, ok bool) {
 		}
 		return out, true
 	}
-	return nil, false
+	return nil, true // constants: no object flows
 }
 
 // opProduces over-approximates the values one operation writes to its
@@ -172,11 +191,11 @@ func (c *Context) opProduces(op *graph.OpNode) []graph.Value {
 	// (activity/dialog lookups) — a superset of what either solver rule
 	// searches for this op.
 	for _, r := range c.Res.OpReceivers(op) {
-		for _, w := range descendants(g, r) {
+		for _, w := range g.Descendants(r) {
 			consider(w)
 		}
 		for _, root := range g.Roots(r) {
-			for _, w := range descendants(g, root) {
+			for _, w := range g.Descendants(root) {
 				consider(w)
 			}
 		}

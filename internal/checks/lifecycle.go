@@ -57,13 +57,10 @@ func (c *Context) reachableFrom(root *ir.Method) []*ir.Method {
 				queue = append(queue, inv.Target)
 				return
 			}
-			if inv.Recv == nil || inv.Recv.TypeClass == nil {
+			if inv.Recv == nil {
 				return
 			}
-			for _, cls := range c.Res.Prog.AppClasses() {
-				if cls.IsInterface || !cls.SubtypeOf(inv.Recv.TypeClass) {
-					continue
-				}
+			for _, cls := range c.Res.Prog.Implementers(inv.Recv.TypeClass) {
 				if callee := cls.Dispatch(inv.Key); callee != nil && callee.Body != nil {
 					queue = append(queue, callee)
 				}

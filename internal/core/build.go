@@ -465,14 +465,8 @@ func (a *analysis) cloneCall(s *ir.Invoke, callee *ir.Method, units unitBits) bo
 // could be the receiver of this call and dispatch it to callee — the
 // context population of a 1-object clone.
 func (a *analysis) receiverClasses(decl *ir.Class, key string, callee *ir.Method) []*ir.Class {
-	if decl == nil {
-		return nil
-	}
 	var out []*ir.Class
-	for _, c := range a.prog.AppClasses() {
-		if c.IsInterface || !c.SubtypeOf(decl) {
-			continue
-		}
+	for _, c := range a.prog.Implementers(decl) {
 		if c.Dispatch(key) == callee {
 			out = append(out, c)
 		}
@@ -596,15 +590,7 @@ func (a *analysis) buildOp(m *ir.Method, s *ir.Invoke, api *platform.ApiSpec) {
 		return
 	}
 	for _, h := range spec.Handlers {
-		types := make([]alite.Type, len(h.Params))
-		for i, pn := range h.Params {
-			if pn == "int" {
-				types[i] = alite.Type{Prim: alite.TypeInt}
-			} else {
-				types[i] = alite.Type{Name: pn}
-			}
-		}
-		key := ir.MethodKey(h.Name, types)
+		key := ir.HandlerKey(h)
 		static := lstArg.TypeClass.LookupMethod(key)
 		for _, handler := range a.callTargets(lstArg.TypeClass, key, static) {
 			a.addDispatchFlow(a.varNode(lstArg), handler, key, mu)
@@ -636,10 +622,7 @@ func (a *analysis) callTargets(decl *ir.Class, key string, static *ir.Method) []
 	}
 	var out []*ir.Method
 	seen := map[*ir.Method]bool{}
-	for _, c := range a.prog.AppClasses() {
-		if c.IsInterface || !c.SubtypeOf(decl) {
-			continue
-		}
+	for _, c := range a.prog.Implementers(decl) {
 		m := c.Dispatch(key)
 		if m != nil && m.Body != nil && !seen[m] {
 			seen[m] = true

@@ -329,3 +329,51 @@ func TestVarNodeContexts(t *testing.T) {
 		t.Errorf("context missing from String: %q", c1)
 	}
 }
+
+// TestDescendants pins the reflexive breadth-first descendant walk: root
+// first, each value once, cycles tolerated.
+func TestDescendants(t *testing.T) {
+	g := New()
+	a, b, c, d := g.ViewIDNode(1, "a"), g.ViewIDNode(2, "b"), g.ViewIDNode(3, "c"), g.ViewIDNode(4, "d")
+	g.AddChild(a, b)
+	g.AddChild(a, c)
+	g.AddChild(b, d)
+	g.AddChild(c, d)
+	g.AddChild(d, a) // cycle back to the root
+	var got []string
+	for _, v := range g.Descendants(a) {
+		got = append(got, v.(*ViewIDNode).Name)
+	}
+	if s := strings.Join(got, ","); s != "a,b,c,d" {
+		t.Errorf("Descendants(a) = %s, want a,b,c,d", s)
+	}
+	if ds := g.Descendants(d); len(ds) != 4 || ds[0] != d {
+		t.Errorf("Descendants(d) = %v", ds)
+	}
+}
+
+// TestLookupsDoNotIntern holds the non-creating lookups to their contract:
+// they find what the creating accessors interned and create nothing.
+func TestLookupsDoNotIntern(t *testing.T) {
+	p := testProgram(t)
+	g := New()
+	v := p.Class("A").Methods["onCreate()"].Locals[1]
+	f := p.Class("A").LookupField("root")
+	cls := p.Class("A")
+	if g.LookupVarNode(v, 0) != nil || g.LookupFieldNode(f) != nil || g.LookupViewIDNode(1) != nil ||
+		g.LookupLayoutIDNode(2) != nil || g.LookupClassNode(cls) != nil {
+		t.Error("lookup on an empty graph found a node")
+	}
+	if n := len(g.Nodes()); n != 0 {
+		t.Fatalf("lookups interned %d nodes", n)
+	}
+	vn, fn := g.VarNode(v), g.FieldNode(f)
+	id, lid, cn := g.ViewIDNode(1, "x"), g.LayoutIDNode(2, "main"), g.ClassNode(cls)
+	if g.LookupVarNode(v, 0) != vn || g.LookupFieldNode(f) != fn || g.LookupViewIDNode(1) != id ||
+		g.LookupLayoutIDNode(2) != lid || g.LookupClassNode(cls) != cn {
+		t.Error("lookup missed an interned node")
+	}
+	if g.LookupVarNode(v, 1) != nil {
+		t.Error("LookupVarNode found a context clone that was never created")
+	}
+}

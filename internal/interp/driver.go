@@ -3,7 +3,6 @@ package interp
 import (
 	"sort"
 
-	"gator/internal/alite"
 	"gator/internal/ir"
 	"gator/internal/platform"
 )
@@ -122,7 +121,7 @@ func (in *Interp) fireEvents() {
 			continue
 		}
 		for _, h := range spec.Handlers {
-			m := f.lst.Class.Dispatch(handlerKey(h))
+			m := f.lst.Class.Dispatch(ir.HandlerKey(h))
 			if m == nil || m.Body == nil {
 				continue
 			}
@@ -254,16 +253,4 @@ func (in *Interp) liveViews() []*Object {
 		visit(d)
 	}
 	return out
-}
-
-func handlerKey(h platform.HandlerSig) string {
-	types := make([]alite.Type, len(h.Params))
-	for i, pn := range h.Params {
-		if pn == "int" {
-			types[i] = alite.Type{Prim: alite.TypeInt}
-		} else {
-			types[i] = alite.Type{Name: pn}
-		}
-	}
-	return ir.MethodKey(h.Name, types)
 }

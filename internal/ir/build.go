@@ -139,15 +139,12 @@ func (b *builder) installPlatform() {
 
 // platformMethod builds a body-less platform method from type names.
 func (b *builder) platformMethod(c *Class, name string, params []string, ret string, api *platform.ApiSpec) *Method {
-	ptypes := make([]alite.Type, len(params))
-	for i, pn := range params {
-		ptypes[i] = b.typeFromName(pn)
-	}
+	ptypes := typesFromNames(params)
 	m := &Method{
 		Class:  c,
 		Name:   name,
 		Key:    MethodKey(name, ptypes),
-		Return: b.typeFromName(ret),
+		Return: typeFromName(ret),
 		API:    api,
 	}
 	if m.Return.IsRef() {
@@ -164,7 +161,21 @@ func (b *builder) platformMethod(c *Class, name string, params []string, ret str
 	return m
 }
 
-func (b *builder) typeFromName(n string) alite.Type {
+// HandlerKey returns the signature key of a listener handler, derived the
+// way Build declares the handler on its platform listener interface.
+func HandlerKey(h platform.HandlerSig) string {
+	return MethodKey(h.Name, typesFromNames(h.Params))
+}
+
+func typesFromNames(names []string) []alite.Type {
+	out := make([]alite.Type, len(names))
+	for i, n := range names {
+		out[i] = typeFromName(n)
+	}
+	return out
+}
+
+func typeFromName(n string) alite.Type {
 	switch n {
 	case "", "void":
 		return alite.Type{Prim: alite.TypeVoid}

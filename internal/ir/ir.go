@@ -89,6 +89,23 @@ func (p *Program) AppClasses() []*Class {
 	return p.appClasses
 }
 
+// Implementers returns the concrete application classes whose objects a
+// variable of declared type decl may hold — every non-interface subtype,
+// through extends and implements edges, in AppClasses order. It is the
+// receiver population of class-hierarchy call resolution; nil when decl is.
+func (p *Program) Implementers(decl *Class) []*Class {
+	if decl == nil {
+		return nil
+	}
+	var out []*Class
+	for _, c := range p.AppClasses() {
+		if !c.IsInterface && c.SubtypeOf(decl) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // Class returns the class with the given name, or nil.
 func (p *Program) Class(name string) *Class { return p.Classes[name] }
 

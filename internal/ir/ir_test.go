@@ -1,7 +1,10 @@
 package ir
 
 import (
+	"strings"
 	"testing"
+
+	"gator/internal/platform"
 )
 
 // TestDefUses pins the def/use sets of the lowered statement forms — the
@@ -70,5 +73,63 @@ class A extends Activity {
 	}
 	if !sawStore || !sawIf || !sawInvokeUse {
 		t.Errorf("statement forms missed: store=%v if=%v invoke=%v", sawStore, sawIf, sawInvokeUse)
+	}
+}
+
+// TestHandlerKey holds the one handler-key derivation to the way Build
+// declares each handler on its platform listener interface: the key must
+// find the declared method for every handler of every listener.
+func TestHandlerKey(t *testing.T) {
+	p := buildSrc(t, `class A extends Activity { }`, nil)
+	for _, l := range platform.Listeners() {
+		iface := p.Class(l.Interface)
+		if iface == nil {
+			t.Fatalf("no listener interface %s", l.Interface)
+		}
+		for _, h := range l.Handlers {
+			m := iface.Methods[HandlerKey(h)]
+			if m == nil {
+				t.Errorf("%s: no method under key %s", l.Interface, HandlerKey(h))
+				continue
+			}
+			if m.Name != h.Name {
+				t.Errorf("%s: key %s finds %s, want %s", l.Interface, HandlerKey(h), m.Name, h.Name)
+			}
+		}
+	}
+}
+
+// TestImplementers pins the receiver population of class-hierarchy
+// dispatch: concrete application subtypes only, through extends and
+// implements edges, in name order.
+func TestImplementers(t *testing.T) {
+	p := buildSrc(t, `
+interface I { void m(); }
+interface J extends I { }
+class C extends B { }
+class B implements J { void m() { } }
+class D { }
+class V extends Button { }`, nil)
+	names := func(cs []*Class) string {
+		var out []string
+		for _, c := range cs {
+			out = append(out, c.Name)
+		}
+		return strings.Join(out, ",")
+	}
+	cases := []struct{ decl, want string }{
+		{"I", "B,C"},
+		{"J", "B,C"},
+		{"B", "B,C"},
+		{"C", "C"},
+		{"View", "V"},
+	}
+	for _, c := range cases {
+		if got := names(p.Implementers(p.Class(c.decl))); got != c.want {
+			t.Errorf("Implementers(%s) = %s, want %s", c.decl, got, c.want)
+		}
+	}
+	if got := p.Implementers(nil); got != nil {
+		t.Errorf("Implementers(nil) = %v", got)
 	}
 }
