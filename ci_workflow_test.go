@@ -144,6 +144,8 @@ func TestNightlyWorkflow(t *testing.T) {
 		// record wiring is held by TestBenchRecordWiringInSync).
 		"scripts/benchdiff.sh",
 		"BenchmarkIncrementalEdit",
+		// The checker-layer trend shows in the nightly log.
+		"BenchmarkCheckReport",
 		// The cluster failover smoke runs nightly with its replica logs
 		// under bench-new/, where the failure artifact picks them up.
 		"gatorproxy -smoke", "bench-new/cluster-smoke-logs",

@@ -15,11 +15,14 @@ import (
 )
 
 // Context carries the solved reference analysis plus lazily built
-// flow-sensitive artifacts shared across passes: per-method CFGs, nullness
-// and reaching-definitions solutions, definition indexes, and the site →
-// operation index. Graph and IR queries go to the graph and the program
-// themselves. One Context serves one app; passes must not mutate it beyond
-// the memoization the accessors perform.
+// flow-sensitive artifacts shared across passes, each memoized on first use:
+// the sorted app-method list, per-method CFGs, nullness and
+// reaching-definitions solutions, definition indexes, the site → operation
+// index, the nullness seeds with the set of methods that can hold a null,
+// helper-call dispatch verdicts per (declared receiver class, key), and
+// per-method returnsModeled verdicts. Graph and IR queries go to the graph
+// and the program themselves. One Context serves one app; passes must not
+// mutate it beyond the memoization the accessors perform.
 type Context struct {
 	Res *core.Result
 
@@ -27,12 +30,19 @@ type Context struct {
 	// with the method name and its block-visit count.
 	Trace *trace.Scope
 
-	cfgs     map[*ir.Method]*cfg.Graph
-	nullRes  map[*ir.Method]*dataflow.Result[dataflow.NullFact]
-	siteOps  map[*ir.Invoke][]*graph.OpNode
-	methOps  map[*ir.Method][]*graph.OpNode
-	nullSeed map[*ir.Invoke]dataflow.NullVal
-	indexed  bool
+	appMethods []*ir.Method
+	cfgs       map[*ir.Method]*cfg.Graph
+	nullRes    map[*ir.Method]*dataflow.Result[dataflow.NullFact]
+	siteOps    map[*ir.Invoke][]*graph.OpNode
+	methOps    map[*ir.Method][]*graph.OpNode
+	nullSeed   map[*ir.Invoke]dataflow.NullVal
+	nullSrc    map[*ir.Method]bool
+	indexed    bool
+
+	// Helper-call seeding memos: viewHelperCall per call key and
+	// returnsModeled per method.
+	helperCalls map[helperKey]bool
+	retModeled  map[*ir.Method]bool
 
 	// Program-point flowsTo machinery (flowsto.go).
 	reach  map[*ir.Method]*dataflow.ReachingDefs
@@ -53,9 +63,13 @@ func NewContext(res *core.Result) *Context {
 }
 
 // AppMethods returns every application method with a body, in deterministic
-// (class, signature) order.
+// (class, signature) order. The slice is memoized; callers must not modify
+// it.
 func (c *Context) AppMethods() []*ir.Method {
-	var out []*ir.Method
+	if c.appMethods != nil {
+		return c.appMethods
+	}
+	out := []*ir.Method{}
 	for _, cl := range c.Res.Prog.AppClasses() {
 		for _, m := range cl.MethodsSorted() {
 			if m.Body != nil {
@@ -63,6 +77,7 @@ func (c *Context) AppMethods() []*ir.Method {
 			}
 		}
 	}
+	c.appMethods = out
 	return out
 }
 
@@ -115,24 +130,69 @@ func (c *Context) buildIndexes() {
 	// per-caller clone split can empty exactly one caller's result, and
 	// these seeds are where that sharper precision frontier reaches the
 	// nullness checker.
+	//
+	// The same walk classifies each method as a null source or not: only a
+	// null constant, a seeded invoke or a null-tested branch ever produces
+	// Null in the nullness lattice (Entry seeds this non-null, Copy only
+	// propagates), so a method with none of them can never hold a null and
+	// checkNullViewDeref skips it without solving.
+	c.nullSrc = map[*ir.Method]bool{}
 	for _, m := range c.AppMethods() {
+		src := false
 		ir.WalkStmts(m.Body, func(s ir.Stmt) {
-			inv, ok := s.(*ir.Invoke)
-			if !ok || inv.Dst == nil || inv.Recv == nil || len(c.siteOps[inv]) > 0 {
-				return
-			}
-			if len(c.Res.VarPointsTo(inv.Dst)) != 0 || len(c.Res.VarPointsTo(inv.Recv)) == 0 {
-				return
-			}
-			if !c.viewHelperCall(inv) {
-				return
-			}
-			c.nullSeed[inv] = dataflow.NullVal{
-				K:   dataflow.Null,
-				Why: fmt.Sprintf("%s at %s can never return a view", callName(inv), inv.At),
+			switch s := s.(type) {
+			case *ir.ConstNull:
+				src = true
+			case *ir.If:
+				src = src || nullTest(s.Cond)
+			case *ir.While:
+				src = src || nullTest(s.Cond)
+			case *ir.Invoke:
+				if c.emptyHelperCall(s) {
+					c.nullSeed[s] = dataflow.NullVal{
+						K:   dataflow.Null,
+						Why: fmt.Sprintf("%s at %s can never return a view", callName(s), s.At),
+					}
+				}
+				if _, seeded := c.nullSeed[s]; seeded {
+					src = true
+				}
 			}
 		})
+		if src {
+			c.nullSrc[m] = true
+		}
 	}
+}
+
+// nullTest reports whether a branch condition tests a variable against
+// null, the only branch along which Nullness introduces Null.
+func nullTest(cond ir.Cond) bool { return !cond.Nondet && cond.X != nil }
+
+// emptyHelperCall reports whether an invoke without operation nodes calls a
+// view helper (viewHelperCall) whose result is empty at a live receiver.
+func (c *Context) emptyHelperCall(inv *ir.Invoke) bool {
+	if inv.Dst == nil || inv.Recv == nil || len(c.siteOps[inv]) > 0 {
+		return false
+	}
+	if len(c.Res.VarPointsTo(inv.Dst)) != 0 || len(c.Res.VarPointsTo(inv.Recv)) == 0 {
+		return false
+	}
+	return c.viewHelperCall(inv)
+}
+
+// mayHoldNull reports whether a method body contains a null source (see
+// buildIndexes). Without one its nullness solution holds no Null anywhere.
+func (c *Context) mayHoldNull(m *ir.Method) bool {
+	c.buildIndexes()
+	return c.nullSrc[m]
+}
+
+// helperKey is a call's dispatch key: the declared receiver class and the
+// signature key. viewHelperCall depends on nothing else.
+type helperKey struct {
+	recv *ir.Class
+	key  string
 }
 
 // viewHelperCall reports whether every dispatch target of a call is a
@@ -145,9 +205,23 @@ func (c *Context) buildIndexes() {
 // untracked field) leaves the solution empty while the runtime value is
 // real.
 func (c *Context) viewHelperCall(s *ir.Invoke) bool {
+	k := helperKey{s.Recv.TypeClass, s.Key}
+	if ok, done := c.helperCalls[k]; done {
+		return ok
+	}
+	if c.helperCalls == nil {
+		c.helperCalls = map[helperKey]bool{}
+	}
+	ok := c.dispatchesToViewHelper(s.Recv.TypeClass, s.Key)
+	c.helperCalls[k] = ok
+	return ok
+}
+
+// dispatchesToViewHelper is viewHelperCall for one dispatch key.
+func (c *Context) dispatchesToViewHelper(recv *ir.Class, key string) bool {
 	anyCallee, anyFind := false, false
-	for _, cls := range c.Res.Prog.Implementers(s.Recv.TypeClass) {
-		callee := cls.Dispatch(s.Key)
+	for _, cls := range c.Res.Prog.Implementers(recv) {
+		callee := cls.Dispatch(key)
 		if callee == nil {
 			continue
 		}
@@ -171,15 +245,24 @@ func (c *Context) viewHelperCall(s *ir.Invoke) bool {
 // returnsModeled reports whether every value a method can return is modeled
 // one-to-one by the constraint graph, following copy chains back through
 // the body (see varModeled). Emptiness of the method's solved result is
-// provable only then.
+// provable only then. The verdict is memoized per method.
 func (c *Context) returnsModeled(m *ir.Method) bool {
+	if ok, done := c.retModeled[m]; done {
+		return ok
+	}
+	if c.retModeled == nil {
+		c.retModeled = map[*ir.Method]bool{}
+	}
+	ok := true
 	visited := map[*ir.Var]bool{}
 	for _, v := range c.defsOf(m).rets {
 		if !c.varModeled(m, v, visited) {
-			return false
+			ok = false
+			break
 		}
 	}
-	return true
+	c.retModeled[m] = ok
+	return ok
 }
 
 // varModeled reports whether every definition of v inside m is one the

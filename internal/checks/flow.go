@@ -209,10 +209,14 @@ func (a contentAnalysis) Branch(c ir.Cond, taken bool, out contentFact) contentF
 // null: results of find-view calls whose static solution is empty (seeded
 // by the reference analysis), null constants, and null-tested branches.
 // This is the dereference-site refinement of dangling-findview: the defect
-// is reported where the program would actually throw.
+// is reported where the program would actually throw. Methods with none of
+// those null sources are skipped unsolved: no fact there can be Null.
 func checkNullViewDeref(ctx *Context) []Finding {
 	var out []Finding
 	for _, m := range ctx.AppMethods() {
+		if !ctx.mayHoldNull(m) {
+			continue
+		}
 		res := ctx.Nullness(m)
 		res.VisitStmts(func(b *cfg.Block, s ir.Stmt, before dataflow.NullFact) {
 			if before == nil {

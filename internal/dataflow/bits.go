@@ -24,8 +24,8 @@ func (b Bits) With(i int) Bits {
 	return out
 }
 
-// Union returns b ∪ o, reusing b or o when one contains the other is not
-// attempted; the result is always fresh unless one side is empty.
+// Union returns b ∪ o. When one side is empty the other is returned as is;
+// otherwise the result is a fresh set.
 func (b Bits) Union(o Bits) Bits {
 	if len(o) == 0 {
 		return b

@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"slices"
+
 	"gator/internal/cfg"
 	"gator/internal/ir"
 )
@@ -13,8 +15,8 @@ import (
 //	   \            /
 //	 (unreachable: no fact)
 //
-// The full fact is a map from variable to NullKind where a missing entry
-// means Unknown and the nil map is the bottom (unreachable) element.
+// The full fact (NullFact) holds one NullVal per method local; the zero
+// NullVal is Unknown and the nil fact is the bottom (unreachable) element.
 type NullKind uint8
 
 const (
@@ -44,22 +46,32 @@ type NullVal struct {
 	Why string
 }
 
-// NullFact maps variables to their nullness. The nil map is bottom
-// (unreachable); a missing key is NullUnknown.
-type NullFact map[*ir.Var]NullVal
+// NullFact is the dense nullness fact of one method: entry i is the value
+// of Method.Locals[i] (ir.Var.Index), and the zero NullVal is NullUnknown.
+// The nil fact is bottom (unreachable). Facts are shared between program
+// points and must never be mutated in place; set returns a fresh copy.
+type NullFact []NullVal
 
-// Get returns the fact for v (NullUnknown when absent or unreachable).
-func (f NullFact) Get(v *ir.Var) NullVal { return f[v] }
+// Get returns the fact for v (NullUnknown when unset or unreachable).
+func (f NullFact) Get(v *ir.Var) NullVal {
+	if v == nil || v.Index >= len(f) {
+		return NullVal{}
+	}
+	return f[v.Index]
+}
 
 // Nullness is the flow-sensitive null-tracking instance. Seed classifies
 // call results using the solved reference analysis: a find-view call whose
 // static solution is empty is definitely null — this is what turns the
 // flow-insensitive "dangling findViewById" call-site guess into precise
-// dereference-site diagnostics.
+// dereference-site diagnostics. An instance memoizes the reason text of
+// each null constant, so one instance serves one goroutine.
 type Nullness struct {
 	// Seed returns the nullness of an invoke result, and whether the seed
 	// applies. Invokes without a seed produce NullUnknown results.
 	Seed func(s *ir.Invoke) (NullVal, bool)
+
+	nullWhy map[*ir.ConstNull]string
 }
 
 // SolveNullness runs the nullness analysis over one CFG.
@@ -70,15 +82,29 @@ func SolveNullness(g *cfg.Graph, seed func(s *ir.Invoke) (NullVal, bool)) *Resul
 func (nl *Nullness) Bottom() NullFact { return nil }
 
 func (nl *Nullness) Entry(g *cfg.Graph) NullFact {
-	f := NullFact{}
+	f := make(NullFact, len(g.Method.Locals))
 	if t := g.Method.This; t != nil {
-		f[t] = NullVal{K: NonNull}
+		f[t.Index] = NullVal{K: NonNull}
 	}
 	return f
 }
 
-// Join is the pointwise lattice join; keys agreeing in both maps survive,
-// everything else rises to Unknown (dropped). Bottom is the identity.
+// joinVal is the lattice join of one variable: values of the same kind
+// survive with the lexicographically smaller reason, so joins are
+// order-independent; anything else rises to Unknown.
+func joinVal(a, b NullVal) NullVal {
+	if a.K != b.K {
+		return NullVal{}
+	}
+	if b.Why < a.Why {
+		a.Why = b.Why
+	}
+	return a
+}
+
+// Join is the pointwise lattice join of two facts of one method. Bottom is
+// the identity, and a side equal to the join is returned as is rather than
+// copied.
 func (nl *Nullness) Join(a, b NullFact) NullFact {
 	if a == nil {
 		return b
@@ -86,46 +112,54 @@ func (nl *Nullness) Join(a, b NullFact) NullFact {
 	if b == nil {
 		return a
 	}
-	out := NullFact{}
-	for v, av := range a {
-		bv, ok := b[v]
-		if !ok || av.K != bv.K {
-			continue
+	var out NullFact
+	for i, av := range a {
+		j := joinVal(av, b[i])
+		if out == nil {
+			if j == av {
+				continue
+			}
+			out = make(NullFact, len(a))
+			copy(out, a[:i])
 		}
-		// Same kind: keep, with the lexicographically smaller reason so
-		// joins are order-independent.
-		if bv.Why < av.Why {
-			av.Why = bv.Why
-		}
-		out[v] = av
+		out[i] = j
+	}
+	if out == nil {
+		return a
 	}
 	return out
 }
 
 func (nl *Nullness) Equal(a, b NullFact) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for v, av := range a {
-		if bv, ok := b[v]; !ok || av != bv {
-			return false
-		}
-	}
-	return true
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
 }
 
-// set returns a copy of f with v set (or cleared, for NullUnknown).
+// set returns f with v set to val: f itself when v already holds val, a
+// fresh copy otherwise. Unknown values are stored as the zero NullVal.
 func (f NullFact) set(v *ir.Var, val NullVal) NullFact {
-	out := make(NullFact, len(f)+1)
-	for k, x := range f {
-		out[k] = x
-	}
 	if val.K == NullUnknown {
-		delete(out, v)
-	} else {
-		out[v] = val
+		val = NullVal{}
 	}
+	if f[v.Index] == val {
+		return f
+	}
+	out := slices.Clone(f)
+	out[v.Index] = val
 	return out
+}
+
+// assignedWhy returns the reason of a null constant, rendered once per
+// statement.
+func (nl *Nullness) assignedWhy(s *ir.ConstNull) string {
+	if why, ok := nl.nullWhy[s]; ok {
+		return why
+	}
+	if nl.nullWhy == nil {
+		nl.nullWhy = map[*ir.ConstNull]string{}
+	}
+	why := "null assigned at " + s.At.String()
+	nl.nullWhy[s] = why
+	return why
 }
 
 func (nl *Nullness) Transfer(s ir.Stmt, in NullFact) NullFact {
@@ -134,7 +168,7 @@ func (nl *Nullness) Transfer(s ir.Stmt, in NullFact) NullFact {
 	}
 	switch s := s.(type) {
 	case *ir.ConstNull:
-		return in.set(s.Dst, NullVal{K: Null, Why: "null assigned at " + s.At.String()})
+		return in.set(s.Dst, NullVal{K: Null, Why: nl.assignedWhy(s)})
 	case *ir.New:
 		return in.set(s.Dst, NullVal{K: NonNull})
 	case *ir.ConstInt:
