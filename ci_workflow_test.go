@@ -9,6 +9,7 @@ package gator
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -121,10 +122,8 @@ func TestCIWorkflow(t *testing.T) {
 		"actions/checkout@", "actions/setup-go@",
 		// Module/build caching and the separate full race-detector job.
 		"cache: true", "go test -race ./...",
-		// Failed runs keep their logs — and the cluster smoke's per-replica
-		// request logs (ci.sh step 12 writes them to cluster-smoke-logs/).
+		// Failed runs keep their logs.
 		"if: failure()", "actions/upload-artifact@",
-		"cluster-smoke-logs",
 	})
 	checkActionsPinned(t, "ci.yml", text)
 	checkJobTimeouts(t, "ci.yml", text)
@@ -146,21 +145,85 @@ func TestNightlyWorkflow(t *testing.T) {
 		"BenchmarkIncrementalEdit",
 		// The checker-layer trend shows in the nightly log.
 		"BenchmarkCheckReport",
-		// The cluster failover smoke runs nightly with its replica logs
-		// under bench-new/, where the failure artifact picks them up.
-		"gatorproxy -smoke", "bench-new/cluster-smoke-logs",
-		// Fuzz budget: 30 seconds per target, all targets present.
-		"-fuzztime 30s", "FuzzParse", "FuzzLayout", "FuzzOrderingScenario",
+		// Fuzz budget: 30 seconds per target.
+		"-fuzztime 30s",
 		// Crashers and regenerated records survive the failed run.
 		"if: failure()", "actions/upload-artifact@",
 	})
+	// Every fuzz target in the repo has a matrix entry naming its package,
+	// so a new fuzzer cannot sit outside the nightly budget.
+	lines := strings.Split(text, "\n")
+	for target, pkg := range fuzzTargets(t) {
+		found := false
+		for i, line := range lines {
+			if strings.TrimSpace(line) == "- target: "+target {
+				found = i+1 < len(lines) && strings.TrimSpace(lines[i+1]) == "pkg: "+pkg
+				break
+			}
+		}
+		if !found {
+			t.Errorf("nightly.yml: fuzz matrix lacks target %s with pkg %s", target, pkg)
+		}
+	}
 	checkActionsPinned(t, "nightly.yml", text)
 	checkJobTimeouts(t, "nightly.yml", text)
 }
 
+// fuzzTargets maps every `func Fuzz…` declared in the module's test files
+// to its package path as `go test` takes it ("." or "./internal/…").
+func fuzzTargets(t *testing.T) map[string]string {
+	t.Helper()
+	targets := map[string]string{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // a nested module is not this suite's
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			name, ok := strings.CutPrefix(line, "func Fuzz")
+			if !ok {
+				continue
+			}
+			if i := strings.Index(name, "("); i > 0 {
+				pkg := "./" + filepath.ToSlash(filepath.Dir(path))
+				if pkg == "./." {
+					pkg = "."
+				}
+				targets["Fuzz"+name[:i]] = pkg
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(targets) == 0 {
+		t.Fatal("no fuzz targets found; the scan is broken")
+	}
+	return targets
+}
+
 // TestCIScriptsExist pins the coupling between the workflows and the
 // scripts they invoke: renaming a script must fail the suite, not silently
-// break CI.
+// break CI. ci.sh must also boot the daemon through its self-test.
 func TestCIScriptsExist(t *testing.T) {
 	for _, s := range []string{"scripts/ci.sh", "scripts/benchdiff.sh"} {
 		info, err := os.Stat(s)
@@ -171,6 +234,40 @@ func TestCIScriptsExist(t *testing.T) {
 		if info.Mode()&0o111 == 0 {
 			t.Errorf("%s: not executable", s)
 		}
+	}
+	data, err := os.ReadFile("scripts/ci.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireAll(t, "scripts/ci.sh", string(data), []string{"gatord -smoke"})
+}
+
+// TestCIRacePackagesExist: every package in ci.sh's short race list must
+// resolve through `go list`. A deleted package left in that list would
+// otherwise fail only on the CI runner, never in `go test ./...`.
+func TestCIRacePackagesExist(t *testing.T) {
+	data, err := os.ReadFile("scripts/ci.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []string
+	for _, line := range strings.Split(string(data), "\n") {
+		list, ok := strings.CutPrefix(strings.TrimSpace(line), "RACE_PKGS=")
+		if !ok {
+			continue
+		}
+		for _, p := range strings.Fields(strings.Trim(list, `"`)) {
+			if p != "./..." {
+				pkgs = append(pkgs, p)
+			}
+		}
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("scripts/ci.sh: no short RACE_PKGS list found")
+	}
+	out, err := exec.Command("go", append([]string{"list"}, pkgs...)...).CombinedOutput()
+	if err != nil {
+		t.Errorf("scripts/ci.sh RACE_PKGS names a package go list cannot resolve: %v\n%s", err, out)
 	}
 }
 
@@ -218,26 +315,6 @@ func TestCIScriptsCoverPrecision(t *testing.T) {
 		names = append(names, mode+"/ratio", mode+"/violations")
 	}
 	requireGated(t, "BENCH_7.json", readRecord(t, "BENCH_7.json"), names)
-}
-
-// TestCIScriptsCoverCluster pins the cluster gate into the tier-1 script:
-// the server smoke must exercise replica identity, the cluster smoke must
-// run with its replica logs where ci.yml's failure artifact expects them,
-// and the short race sweep must include the cluster package (the proxy's
-// whole job is concurrent routing). The checked-in cluster record must gate
-// the failover experiment.
-func TestCIScriptsCoverCluster(t *testing.T) {
-	data, err := os.ReadFile("scripts/ci.sh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireAll(t, "scripts/ci.sh", string(data), []string{
-		"gatord -smoke -replica",
-		"gatorproxy -smoke -smoke-logs cluster-smoke-logs",
-		"./internal/cluster",
-	})
-	requireGated(t, "BENCH_9.json", readRecord(t, "BENCH_9.json"),
-		[]string{"failedRequests", "recreates", "failoverP99Ms"})
 }
 
 // TestBenchRecordWiringInSync holds the benchmark-record wiring: every

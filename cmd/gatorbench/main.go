@@ -218,7 +218,6 @@ var records = []struct {
 	{"BENCH_6.json", solveRecord},
 	{"BENCH_5.json", serveRecord},
 	{"BENCH_8.json", obsRecord},
-	{"BENCH_9.json", clusterRecord},
 	{"BENCH_7.json", precisionRecord},
 	{"BENCH_10.json", lifecycleRecord},
 }

@@ -10,12 +10,7 @@
 //	       [-session-ttl 30m] [-max-sessions N] [-max-request-bytes N]
 //	       [-cache-dir DIR] [-cache-max-bytes N]
 //	       [-log-level info] [-log-format json] [-trace-sample N]
-//	       [-trace-ring N] [-replica ID] [-shared-cache URL]
-//
-// -replica and -shared-cache make the daemon one node of a gatorproxy
-// cluster (see cmd/gatorproxy and DESIGN.md, "Cluster"): responses carry
-// the replica id, and cacheable results are shared cluster-wide through
-// the proxy's content-addressed store.
+//	       [-trace-ring N]
 //
 // Endpoints (see README.md, "Server mode"):
 //
@@ -56,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"gator/internal/cluster"
 	"gator/internal/server"
 	"gator/internal/telemetry"
 )
@@ -76,8 +70,6 @@ func main() {
 	logFormat := flag.String("log-format", "json", "request log format: json or text")
 	traceSample := flag.Int("trace-sample", 0, "capture the solver trace of every Nth analysis request (0 = only ?trace=1 requests)")
 	traceRing := flag.Int("trace-ring", 64, "max captured solver traces kept in memory")
-	replica := flag.String("replica", "", "replica `id` when this daemon is one node of a gatorproxy cluster; echoed in X-Gator-Replica on every response")
-	sharedCache := flag.String("shared-cache", "", "base `URL` of the cluster's shared result store (the gatorproxy address); consulted after local caches miss, written through on every solve")
 	smoke := flag.Bool("smoke", false, "self-test: serve on a free port, run one cold and one incremental request against the app directory argument, drain, exit")
 	flag.Parse()
 
@@ -99,10 +91,6 @@ func main() {
 		Logger:           logger,
 		TraceSample:      *traceSample,
 		TraceRingEntries: *traceRing,
-		ReplicaID:        *replica,
-	}
-	if *sharedCache != "" {
-		cfg.Shared = cluster.NewStoreClient(*sharedCache)
 	}
 
 	if *smoke {

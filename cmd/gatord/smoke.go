@@ -58,18 +58,6 @@ func runSmoke(cfg server.Config, dir string) error {
 	if err := c.Readyz(); err != nil {
 		return fmt.Errorf("readyz: %w", err)
 	}
-	// With -replica set, every response must carry the replica identity —
-	// what the cluster proxy and its rollup key on.
-	if cfg.ReplicaID != "" {
-		replica, err := c.Replica()
-		if err != nil {
-			return fmt.Errorf("read replica header: %w", err)
-		}
-		if replica != cfg.ReplicaID {
-			return fmt.Errorf("replica header %q, want %q", replica, cfg.ReplicaID)
-		}
-		fmt.Printf("gatord: smoke: replica identity ok (%s)\n", replica)
-	}
 
 	sources, layouts, err := gator.ReadAppDir(dir)
 	if err != nil {

@@ -2,12 +2,15 @@ package gator
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"gator/internal/corpus"
+	"gator/internal/layout"
 )
 
 func figure1App(t *testing.T) *App {
@@ -239,6 +242,15 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load(map[string]string{"x.alite": "class A { }"},
 		map[string]string{"bad": "<"}); err == nil {
 		t.Error("want layout parse error")
+	}
+	// An include diamond is refused before any of it is spliced.
+	start := time.Now()
+	var ee *layout.ExpansionError
+	if _, err := Load(corpus.IncludeDiamondApp(22)); !errors.As(err, &ee) || ee.Layout != "l00" {
+		t.Errorf("include diamond: err = %v, want *layout.ExpansionError at l00", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("include diamond took %v to refuse", d)
 	}
 }
 

@@ -12,7 +12,9 @@ package layout
 
 import (
 	"encoding/xml"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 )
@@ -90,7 +92,7 @@ func Parse(name, src string) (*Layout, error) {
 	for {
 		tok, err := dec.Token()
 		if err != nil {
-			if err.Error() == "EOF" {
+			if errors.Is(err, io.EOF) {
 				break
 			}
 			return nil, fmt.Errorf("layout %s: %w", name, err)
@@ -251,71 +253,174 @@ func validClassName(s string) bool {
 	return true
 }
 
+// MaxLinkedNodes bounds the view nodes Link may splice in across all
+// layouts of an application. Each <include> copies the included layout's
+// linked tree, so layouts that each include the next one twice double the
+// copy per level: eighteen such layouts, 1.6 KB of XML, ask for half a
+// million nodes. The Table-1 corpus splices at most a few hundred.
+const MaxLinkedNodes = 1 << 16
+
+// ExpansionError is Link's refusal of an application whose <include>
+// splicing would copy more than MaxLinkedNodes view nodes.
+type ExpansionError struct {
+	// Layout is the first layout, in name order, whose includes push the
+	// running total past the bound.
+	Layout string
+	// Chain is the include path from Layout along its largest includes.
+	Chain []string
+}
+
+func (e *ExpansionError) Error() string {
+	return fmt.Sprintf("layout %s: <include> splicing passes %d views (include chain %s)",
+		e.Layout, MaxLinkedNodes, strings.Join(e.Chain, " -> "))
+}
+
 // Link resolves <include> references across a set of layouts, splicing the
 // included layout's tree (or a merge root's children) in place of the
-// include node. Cyclic includes are an error.
+// include node. Cyclic includes, includes of unknown layouts, and a total
+// splice past MaxLinkedNodes are errors, reported before any layout
+// changes.
 func Link(layouts map[string]*Layout) error {
-	state := map[string]int{} // 0 unvisited, 1 in progress, 2 done
-	var expand func(name string) error
-	expand = func(name string) error {
-		switch state[name] {
-		case 1:
-			return fmt.Errorf("layout %s: cyclic <include>", name)
-		case 2:
-			return nil
-		}
-		state[name] = 1
-		l := layouts[name]
-		var fix func(n *Node) error
-		fix = func(n *Node) error {
-			for i := 0; i < len(n.Children); i++ {
-				ch := n.Children[i]
-				if ch.Include == "" {
-					if err := fix(ch); err != nil {
-						return err
-					}
-					continue
-				}
-				inc, ok := layouts[ch.Include]
-				if !ok {
-					return fmt.Errorf("layout %s: include of unknown layout %q", name, ch.Include)
-				}
-				if err := expand(ch.Include); err != nil {
-					return err
-				}
-				repl := cloneNode(inc.Root)
-				if repl.Merge {
-					// Splice the merge children directly.
-					kids := repl.Children
-					n.Children = append(n.Children[:i], append(kids, n.Children[i+1:]...)...)
-					i += len(kids) - 1
-				} else {
-					if ch.ID != "" {
-						// <include android:id=...> overrides the root id.
-						repl.ID = ch.ID
-					}
-					n.Children[i] = repl
-				}
-			}
-			return nil
-		}
-		if err := fix(l.Root); err != nil {
-			return err
-		}
-		state[name] = 2
-		return nil
-	}
 	names := make([]string, 0, len(layouts))
 	for name := range layouts {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	x := expansion{layouts: layouts, size: map[string]int{}}
+	total := 0
 	for _, name := range names {
-		if err := expand(name); err != nil {
+		if _, err := x.linkedSize(name); err != nil {
 			return err
 		}
+		for _, inc := range includes(layouts[name].Root, nil) {
+			total = satAdd(total, x.size[inc])
+		}
+		if total > MaxLinkedNodes {
+			return &ExpansionError{Layout: name, Chain: x.chain(name)}
+		}
+	}
+	linked := map[string]bool{}
+	for _, name := range names {
+		splice(layouts, name, linked)
 	}
 	return nil
+}
+
+// expansion sizes each layout's linked tree once, over the include DAG,
+// without building it.
+type expansion struct {
+	layouts map[string]*Layout
+	// size is the view count a layout contributes where it is included
+	// (its linked Root.Count()), capped past MaxLinkedNodes; -1 while the
+	// layout is being sized, which is how a cycle shows.
+	size map[string]int
+}
+
+func (x *expansion) linkedSize(name string) (int, error) {
+	if s, ok := x.size[name]; ok {
+		if s < 0 {
+			return 0, fmt.Errorf("layout %s: cyclic <include>", name)
+		}
+		return s, nil
+	}
+	x.size[name] = -1
+	var count func(n *Node) (int, error)
+	count = func(n *Node) (int, error) {
+		if n.Include != "" {
+			if _, ok := x.layouts[n.Include]; !ok {
+				return 0, fmt.Errorf("layout %s: include of unknown layout %q", name, n.Include)
+			}
+			return x.linkedSize(n.Include)
+		}
+		c := 0
+		if !n.Merge {
+			c = 1
+		}
+		for _, ch := range n.Children {
+			s, err := count(ch)
+			if err != nil {
+				return 0, err
+			}
+			c = satAdd(c, s)
+		}
+		return c, nil
+	}
+	s, err := count(x.layouts[name].Root)
+	if err != nil {
+		return 0, err
+	}
+	x.size[name] = s
+	return s, nil
+}
+
+// chain follows name's largest include (the first, on a tie) down to a
+// layout that includes nothing.
+func (x *expansion) chain(name string) []string {
+	chain := []string{name}
+	for {
+		next := ""
+		for _, inc := range includes(x.layouts[name].Root, nil) {
+			if next == "" || x.size[inc] > x.size[next] {
+				next = inc
+			}
+		}
+		if next == "" {
+			return chain
+		}
+		name = next
+		chain = append(chain, name)
+	}
+}
+
+// includes appends the layouts n's subtree includes, in preorder.
+func includes(n *Node, out []string) []string {
+	if n.Include != "" {
+		return append(out, n.Include)
+	}
+	for _, ch := range n.Children {
+		out = includes(ch, out)
+	}
+	return out
+}
+
+// satAdd adds two view counts, capping the sum just past MaxLinkedNodes so
+// an exponential include chain cannot overflow it.
+func satAdd(a, b int) int {
+	return min(a+b, MaxLinkedNodes+1)
+}
+
+// splice links one layout whose includes Link has already checked: each
+// included layout is linked first, then copied in place of the include.
+func splice(layouts map[string]*Layout, name string, linked map[string]bool) {
+	if linked[name] {
+		return
+	}
+	linked[name] = true
+	var fix func(n *Node)
+	fix = func(n *Node) {
+		for i := 0; i < len(n.Children); i++ {
+			ch := n.Children[i]
+			if ch.Include == "" {
+				fix(ch)
+				continue
+			}
+			splice(layouts, ch.Include, linked)
+			repl := cloneNode(layouts[ch.Include].Root)
+			if repl.Merge {
+				// Splice the merge children directly.
+				kids := repl.Children
+				n.Children = append(n.Children[:i], append(kids, n.Children[i+1:]...)...)
+				i += len(kids) - 1
+			} else {
+				if ch.ID != "" {
+					// <include android:id=...> overrides the root id.
+					repl.ID = ch.ID
+				}
+				n.Children[i] = repl
+			}
+		}
+	}
+	fix(layouts[name].Root)
 }
 
 // Render serializes a layout back to XML. Parse(Render(l)) yields an

@@ -1,6 +1,8 @@
 package layout
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -172,6 +174,70 @@ func TestLinkTransitiveAndErrors(t *testing.T) {
 	}
 	if err := Link(missing); err == nil || !strings.Contains(err.Error(), "unknown layout") {
 		t.Errorf("missing include: err = %v", err)
+	}
+}
+
+// diamond returns layouts l00..l<depth> where each includes the next one
+// twice; with merge, every root is a <merge> holding a TextView beside the
+// includes, which links to the same view counts.
+func diamond(depth int, merge bool) map[string]*Layout {
+	layouts := map[string]*Layout{}
+	for i := 0; i <= depth; i++ {
+		name := fmt.Sprintf("l%02d", i)
+		inc := ""
+		if i < depth {
+			inc = fmt.Sprintf(`<include layout="@layout/l%02d"/>`, i+1)
+			inc += inc
+		}
+		src := "<LinearLayout>" + inc + "</LinearLayout>"
+		if merge {
+			src = "<merge><TextView/>" + inc + "</merge>"
+		}
+		layouts[name] = MustParse(name, src)
+	}
+	return layouts
+}
+
+// TestLinkExpansionBound: a depth-14 diamond splices 65,504 views, just
+// under MaxLinkedNodes, and links. Depth 15 would splice 131,040: l00's
+// includes take 65,534 and l01's pass the bound, so the link is refused
+// at l01 with its include chain named, before any layout changes. A
+// <merge> root counts only its children.
+func TestLinkExpansionBound(t *testing.T) {
+	for _, merge := range []bool{false, true} {
+		layouts := diamond(14, merge)
+		before := 0
+		for _, l := range layouts {
+			before += l.Root.Count()
+		}
+		if err := Link(layouts); err != nil {
+			t.Fatalf("merge=%v: depth 14: %v", merge, err)
+		}
+		after := 0
+		for _, l := range layouts {
+			after += l.Root.Count()
+		}
+		if after-before != 65504 || after-before > MaxLinkedNodes {
+			t.Errorf("merge=%v: depth 14 spliced %d views, want 65504", merge, after-before)
+		}
+
+		layouts = diamond(15, merge)
+		var ee *ExpansionError
+		if err := Link(layouts); !errors.As(err, &ee) || ee.Layout != "l01" || len(ee.Chain) != 15 {
+			t.Fatalf("merge=%v: depth 15: err = %v, want *ExpansionError at l01 with a 15-layout chain", merge, err)
+		}
+		if !strings.Contains(ee.Error(), "include chain l01 -> l02 -> l03") {
+			t.Errorf("error %q does not name the include chain", ee)
+		}
+		if got := includes(layouts["l00"].Root, nil); len(got) != 2 {
+			t.Errorf("merge=%v: refused link changed l00 (includes %v)", merge, got)
+		}
+	}
+
+	// Depth 62 would overflow an unsaturated count.
+	var ee *ExpansionError
+	if err := Link(diamond(62, false)); !errors.As(err, &ee) || len(ee.Chain) != 63 {
+		t.Fatalf("depth 62: err = %v, want *ExpansionError", err)
 	}
 }
 

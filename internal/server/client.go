@@ -18,17 +18,6 @@ import (
 	"gator/internal/watch"
 )
 
-// Proxy-aware headers. A cluster proxy (cmd/gatorproxy) routes by app id;
-// the client sends AppHeader so the proxy never has to decode request
-// bodies, and every replica echoes ReplicaHeader so callers can see which
-// node served them. Both are harmless against a plain single daemon.
-const (
-	// AppHeader carries the request's app name as a routing hint.
-	AppHeader = "X-Gator-App"
-	// ReplicaHeader carries the serving replica's id (Config.ReplicaID).
-	ReplicaHeader = "X-Gator-Replica"
-)
-
 // StatusError is a non-2xx daemon response.
 type StatusError struct {
 	Code int
@@ -58,11 +47,6 @@ func NewClient(base string) *Client {
 
 // do sends one JSON round trip; out may be nil.
 func (c *Client) do(method, path string, in, out any) error {
-	return c.doApp(method, path, "", in, out)
-}
-
-// doApp is do with an app-id routing hint attached (see AppHeader).
-func (c *Client) doApp(method, path, app string, in, out any) error {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
@@ -77,9 +61,6 @@ func (c *Client) doApp(method, path, app string, in, out any) error {
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	if app != "" {
-		req.Header.Set(AppHeader, app)
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -109,7 +90,7 @@ func (c *Client) doApp(method, path, app string, in, out any) error {
 // Analyze submits one application for a cold (or cache-replayed) analysis.
 func (c *Client) Analyze(req AnalyzeRequest) (*AnalyzeResponse, error) {
 	var out AnalyzeResponse
-	if err := c.doApp("POST", "/v1/analyze", req.Name, req, &out); err != nil {
+	if err := c.do("POST", "/v1/analyze", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -119,7 +100,7 @@ func (c *Client) Analyze(req AnalyzeRequest) (*AnalyzeResponse, error) {
 // later patches get warm incremental re-analysis.
 func (c *Client) OpenSession(req AnalyzeRequest) (*AnalyzeResponse, error) {
 	var out AnalyzeResponse
-	if err := c.doApp("POST", "/v1/sessions", req.Name, req, &out); err != nil {
+	if err := c.do("POST", "/v1/sessions", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -179,29 +160,10 @@ func (c *Client) DebugTrace(traceID string) ([]byte, error) {
 // response's TraceID keys a subsequent DebugTrace call.
 func (c *Client) AnalyzeTraced(req AnalyzeRequest) (*AnalyzeResponse, error) {
 	var out AnalyzeResponse
-	if err := c.doApp("POST", "/v1/analyze?trace=1", req.Name, req, &out); err != nil {
+	if err := c.do("POST", "/v1/analyze?trace=1", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// Replica reports the replica id the daemon (or, through a proxy, the
-// probed replica) attaches to its responses — "" for a plain daemon.
-func (c *Client) Replica() (string, error) {
-	req, err := http.NewRequest("GET", c.base+"/healthz", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return "", err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", &StatusError{Code: resp.StatusCode}
-	}
-	return resp.Header.Get(ReplicaHeader), nil
 }
 
 // getRaw fetches one endpoint's raw body (optionally with an Accept

@@ -73,15 +73,6 @@ type Config struct {
 	// no span propagation, no per-request metrics or logs. The overhead
 	// benchmark (BENCH_8.json) serves this as its baseline.
 	NoTelemetry bool
-	// ReplicaID, when set, names this daemon as one replica of a cluster:
-	// every response carries it in an X-Gator-Replica header so clients
-	// and the routing proxy can see which node actually served them.
-	ReplicaID string
-	// Shared, when set, is a cluster-shared content-addressed result tier
-	// (gatorproxy's /v1/cache) consulted after the memory and disk tiers
-	// miss and written through on every cacheable solve — one replica's
-	// solve becomes every replica's replay. Implementations fail open.
-	Shared cache.SharedStore
 }
 
 func (c Config) withDefaults() Config {
@@ -172,15 +163,6 @@ func New(cfg Config) (*Server, error) {
 	s.handler = s.mux
 	if obs {
 		s.handler = s.withTelemetry(s.mux)
-	}
-	if cfg.ReplicaID != "" {
-		// Outermost layer so even telemetry-rejected responses carry the
-		// replica identity.
-		inner := s.handler
-		s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set(ReplicaHeader, cfg.ReplicaID)
-			inner.ServeHTTP(w, r)
-		})
 	}
 	s.ready.Store(true)
 	return s, nil
@@ -499,15 +481,6 @@ func (s *Server) cacheGet(key string) (rendered, bool) {
 			s.reg.Add("server.cache.disk_hits", 1)
 		}
 	}
-	if !hit && s.cfg.Shared != nil {
-		// Cluster tier: a hit means some replica already solved these exact
-		// bytes. Promote locally so the next replay skips the network.
-		if d, ok := s.cfg.Shared.Get(key); ok && len(d) > 0 {
-			data, hit = d, true
-			s.results.Put(key, data)
-			s.reg.Add("server.cache.shared_hits", 1)
-		}
-	}
 	if !hit || len(data) == 0 {
 		s.reg.Add("server.cache.misses", 1)
 		return rendered{}, false
@@ -525,9 +498,6 @@ func (s *Server) cachePut(key string, rd rendered) {
 	s.results.Put(key, entry)
 	if s.disk != nil {
 		s.disk.Put(key, entry)
-	}
-	if s.cfg.Shared != nil {
-		s.cfg.Shared.Put(key, entry)
 	}
 }
 

@@ -644,6 +644,26 @@ func TestDeepNestingRejected(t *testing.T) {
 	}
 }
 
+// TestIncludeDiamondRejected: 2 KB of layouts that include each other
+// twice per level would expand to 2^23 views. Linking must refuse them
+// with a 422 naming the include chain before anything is spliced.
+func TestIncludeDiamondRejected(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	sources, layouts := corpus.IncludeDiamondApp(22)
+	start := time.Now()
+	_, err := c.Analyze(AnalyzeRequest{Sources: sources, Layouts: layouts})
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("include diamond took %v to refuse", d)
+	}
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("include diamond: %v, want 422", err)
+	}
+	if !strings.Contains(se.Msg, "include chain l00 -> l01 -> ") {
+		t.Errorf("include diamond error %q does not name the include chain", se.Msg)
+	}
+}
+
 // TestMetricsEndpoint checks /metrics is deterministic, valid JSON with the
 // job counters present.
 func TestMetricsEndpoint(t *testing.T) {
@@ -835,106 +855,5 @@ func writeAppDir(t *testing.T, dir string, sources, layouts map[string]string) {
 				t.Fatal(err)
 			}
 		}
-	}
-}
-
-// ---- cluster-facing config knobs (PR 9) ----
-
-// memShared is an in-memory cache.SharedStore for tests.
-type memShared struct {
-	mu sync.Mutex
-	m  map[string][]byte
-}
-
-func newMemShared() *memShared { return &memShared{m: map[string][]byte{}} }
-
-func (s *memShared) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.m[key]
-	return d, ok
-}
-
-func (s *memShared) Put(key string, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[key] = append([]byte(nil), data...)
-}
-
-// A replica-configured daemon must name itself on every response, and the
-// client must be able to read that name back.
-func TestReplicaHeader(t *testing.T) {
-	srv, err := New(Config{ReplicaID: "r7"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer func() {
-		srv.Drain()
-		ts.Close()
-	}()
-	c := NewClient(ts.URL)
-	replica, err := c.Replica()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replica != "r7" {
-		t.Fatalf("Replica() = %q, want r7", replica)
-	}
-	// Analysis responses carry it too.
-	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json",
-		strings.NewReader(`{"sources":{"a.alite":"class A {}"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get(ReplicaHeader); got != "r7" {
-		t.Fatalf("analyze response replica header = %q, want r7", got)
-	}
-
-	// A plain daemon sends none, and Replica() reports that as "".
-	_, plain := newTestServer(t, Config{})
-	if replica, err := plain.Replica(); err != nil || replica != "" {
-		t.Fatalf("plain daemon Replica() = %q, %v; want \"\"", replica, err)
-	}
-}
-
-// The shared tier sits behind memory and disk: a daemon whose local
-// caches are cold must replay an entry some other daemon put there, and
-// write its own solves through.
-func TestSharedStoreTier(t *testing.T) {
-	shared := newMemShared()
-	srvA, cA := newTestServer(t, Config{Shared: shared})
-	sources, layouts := figure1Maps()
-	req := AnalyzeRequest{Name: "fig1", Sources: sources, Layouts: layouts,
-		ReportSpec: ReportSpec{Report: "views"}}
-
-	first, err := cA.Analyze(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Cached {
-		t.Fatal("cold analyze claims cached")
-	}
-	if len(shared.m) == 0 {
-		t.Fatal("solve was not written through to the shared store")
-	}
-	_ = srvA
-
-	// A second daemon with the same shared store but cold local tiers.
-	srvB, cB := newTestServer(t, Config{Shared: shared})
-	second, err := cB.Analyze(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Cached {
-		t.Fatal("cold daemon missed the shared tier")
-	}
-	if second.Output != first.Output || second.ExitCode != first.ExitCode {
-		t.Fatal("shared-tier replay differs from the original solve")
-	}
-	snap := srvB.Registry().Snapshot()
-	if snap.Counters["server.cache.shared_hits"] != 1 {
-		t.Fatalf("shared_hits = %d, want 1", snap.Counters["server.cache.shared_hits"])
 	}
 }

@@ -30,15 +30,14 @@
 #                      glob also keeps driver pattern selection wired)
 #   7. trace smoke   — `gator -trace -explain` over examples/buggyapp must
 #                      exit 0: tracing and provenance stay wired end-to-end
-#   8. server smoke  — `gatord -smoke -replica smoke-r0` boots the daemon on
+#   8. server smoke  — `gatord -smoke` boots the daemon on
 #                      a loopback port, runs one cold and one incremental
 #                      session request (both byte-compared against local
 #                      analysis), then exercises the telemetry surface —
 #                      scrapes /metrics, validates it as Prometheus text
 #                      with the in-repo parser, runs a ?trace=1 request, and
 #                      fetches the captured solver trace by its trace id —
-#                      verifies the daemon reports its replica identity, then
-#                      drains and shuts down cleanly
+#                      then drains and shuts down cleanly
 #   9. no-alloc      — BenchmarkSolveTracingDisabled asserts that disabled
 #                      tracing adds zero allocations to the solver
 #  10. ctx smoke     — `gatorbench -table precision -ctx 1cfa` over one small
@@ -50,18 +49,6 @@
 #                      against the checked-in BENCH_*.json baselines, each
 #                      metric under its own gate (skipped with -short; the
 #                      baselines themselves are never rewritten here)
-#  12. cluster smoke — `gatorproxy -smoke` boots a real 2-replica cluster on
-#                      loopback (two in-process gatord replicas behind the
-#                      routing proxy), byte-compares cold and warm-session
-#                      reports against local analysis, proves a non-owning
-#                      replica replays the owner's solve through the shared
-#                      content-addressed tier, kills the session's replica
-#                      and recovers through the client's 404 → re-create
-#                      path, and validates the rolled-up /metrics (parsed
-#                      with the in-repo Prometheus parser; every replica
-#                      series labeled). Each replica's request log lands in
-#                      cluster-smoke-logs/, which CI uploads as a failure
-#                      artifact.
 #
 # Usage: scripts/ci.sh [-short]
 #   -short trims the corpus-wide tests for a quick local signal.
@@ -86,7 +73,7 @@ go test $SHORT ./...
 RACE_PKGS="./..."
 if [ -n "$SHORT" ]; then
     # The packages with concurrent tests; see the step 4 note above.
-    RACE_PKGS=". ./internal/core ./internal/cache ./internal/metrics ./internal/trace ./internal/watch ./internal/server ./internal/cluster ./internal/lifecycle ./internal/corpus"
+    RACE_PKGS=". ./internal/core ./internal/cache ./internal/metrics ./internal/trace ./internal/watch ./internal/server ./internal/lifecycle ./internal/corpus"
 fi
 echo "== go test -race $SHORT $RACE_PKGS"
 go test -race $SHORT $RACE_PKGS
@@ -122,7 +109,7 @@ echo "== trace + explain smoke (examples/buggyapp)"
 go run ./cmd/gator -trace /dev/null -explain Main.onCreate.btn examples/buggyapp > /dev/null
 
 echo "== gatord server smoke (examples/buggyapp)"
-go run ./cmd/gatord -smoke -replica smoke-r0 examples/buggyapp
+go run ./cmd/gatord -smoke examples/buggyapp
 
 echo "== zero-allocation guard (tracing disabled)"
 go test -run TestTracingDisabledZeroAlloc -bench BenchmarkSolveTracingDisabled -benchtime 1x ./internal/core
@@ -134,9 +121,5 @@ if [ -z "$SHORT" ]; then
     echo "== benchmark records vs checked-in baselines"
     scripts/benchdiff.sh
 fi
-
-echo "== gatorproxy cluster smoke (examples/buggyapp, 2 replicas)"
-rm -rf cluster-smoke-logs
-go run ./cmd/gatorproxy -smoke -smoke-logs cluster-smoke-logs examples/buggyapp
 
 echo "== CI gate green"
